@@ -107,6 +107,8 @@ cluster-smoke:
 	  --expect-divergence
 	dune exec bin/mst.exe -- faults --campaign=replica --seeds=2 --quick
 
+# Ends by checking that nothing above rewrote a committed BENCH_*.json:
+# quick bench modes only print, so a dirty file means a smoke wrote one.
 check:
 	dune build
 	dune runtest
@@ -118,6 +120,9 @@ check:
 	$(MAKE) dpor-smoke
 	$(MAKE) gc-smoke
 	$(MAKE) cluster-smoke
+	@test -z "$$(git status --porcelain -- 'BENCH_*.json')" || { \
+	  echo "FAIL: make check modified committed BENCH_*.json:"; \
+	  git status --porcelain -- 'BENCH_*.json'; exit 1; }
 
 # The full reproduction harness (slow); `make bench-quick` for a pass
 # with reduced repetitions.

@@ -98,12 +98,27 @@ let run_ablation_sched ~quick () =
   let reps = if quick then 4 else 12 in
   Ablations.print_result fmt (Ablations.scheduler_reorganization ~reps ())
 
+(* --- committed result files --- *)
+
+(* Full runs refresh the committed BENCH_*.json; quick modes are smoke
+   runs (make check runs some) with reduced sizing, so their rows go to
+   stdout only and never overwrite a committed file. *)
+let write_json ~quick file emit =
+  if quick then
+    Format.fprintf fmt
+      "@.(quick mode: %s left as is; run without --quick to refresh it)@."
+      file
+  else begin
+    let oc = open_out file in
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> emit oc);
+    Format.fprintf fmt "@.(rows written to %s)@." file
+  end
+
 (* --- E16: work stealing --- *)
 
 let steal_json_file = "BENCH_e16_steal.json"
 
-let write_steal_json ~workers rows =
-  let oc = open_out steal_json_file in
+let write_steal_json ~workers rows oc =
   Printf.fprintf oc
     "{\n  \"experiment\": \"e16_work_stealing\",\n  \"workers\": %d,\n\
      \  \"rows\": [\n"
@@ -120,8 +135,7 @@ let write_steal_json ~workers rows =
         (r.Ablations.locked_seconds /. r.Ablations.stealing_seconds)
         (if i = List.length rows - 1 then "" else ","))
     rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+  Printf.fprintf oc "  ]\n}\n"
 
 let run_e16_steal ~quick () =
   section "E16: work-stealing scheduler, processor sweep";
@@ -129,8 +143,7 @@ let run_e16_steal ~quick () =
   let vps = if quick then [ 5; 8; 16 ] else [ 5; 8; 16; 32; 64 ] in
   let rows = Ablations.work_stealing_sweep ~workers ~vps () in
   Ablations.print_steal_rows fmt ~workers rows;
-  write_steal_json ~workers rows;
-  Format.fprintf fmt "@.(rows written to %s)@." steal_json_file
+  write_json ~quick steal_json_file (write_steal_json ~workers rows)
 
 (* --- E17: the image server on the event-calendar engine --- *)
 
@@ -150,8 +163,7 @@ let run_server_once config p =
     failwith "e17-server: run did not quiesce";
   (stats, wall)
 
-let write_server_json ~vps ~workers ~requests ~think_ms rows =
-  let oc = open_out server_json_file in
+let write_server_json ~vps ~workers ~requests ~think_ms rows oc =
   Printf.fprintf oc
     "{\n  \"experiment\": \"e17_image_server\",\n  \"vps\": %d,\n\
      \  \"workers\": %d,\n  \"requests_per_session\": %d,\n\
@@ -188,8 +200,7 @@ let write_server_json ~vps ~workers ~requests ~think_ms rows =
       (if i = List.length rows - 1 then "" else ",")
   in
   List.iteri emit rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+  Printf.fprintf oc "  ]\n}\n"
 
 let run_e17_server ~quick () =
   section
@@ -233,15 +244,14 @@ let run_e17_server ~quick () =
         { srv_sessions = sessions; scan; calendar })
       session_counts
   in
-  write_server_json ~vps ~workers ~requests ~think_ms rows;
-  Format.fprintf fmt "@.(rows written to %s)@." server_json_file
+  write_json ~quick server_json_file
+    (write_server_json ~vps ~workers ~requests ~think_ms rows)
 
 (* --- E18: incremental old-space collection --- *)
 
 let gc_json_file = "BENCH_e18_gc.json"
 
-let write_gc_json ~iterations rows (s : Gc_study.major_summary) =
-  let oc = open_out gc_json_file in
+let write_gc_json ~iterations rows (s : Gc_study.major_summary) oc =
   Printf.fprintf oc
     "{\n  \"experiment\": \"e18_incremental_major\",\n\
      \  \"iterations\": %d,\n\
@@ -269,8 +279,7 @@ let write_gc_json ~iterations rows (s : Gc_study.major_summary) =
     s.Gc_study.maj_overruns s.Gc_study.maj_forced
     s.Gc_study.maj_reclaimed_objects s.Gc_study.maj_reclaimed_words
     s.Gc_study.maj_free_list_hits s.Gc_study.maj_free_reused_words
-    s.Gc_study.maj_barrier_greys;
-  close_out oc
+    s.Gc_study.maj_barrier_greys
 
 let run_e18_gc ~quick () =
   section
@@ -302,15 +311,13 @@ let run_e18_gc ~quick () =
          slice_row.Gc_study.p95_ms slice_row.Gc_study.budget_ms;
        exit 1
    | _ -> ());
-  write_gc_json ~iterations rows s;
-  Format.fprintf fmt "@.(rows written to %s)@." gc_json_file
+  write_json ~quick gc_json_file (write_gc_json ~iterations rows s)
 
 (* --- E19: replicated image cluster --- *)
 
 let cluster_json_file = "BENCH_e19_cluster.json"
 
-let write_cluster_json ~requests rows =
-  let oc = open_out cluster_json_file in
+let write_cluster_json ~requests rows oc =
   Printf.fprintf oc
     "{\n  \"experiment\": \"e19_replicated_cluster\",\n\
      \  \"replicas\": %d,\n  \"requests\": %d,\n  \"rows\": [\n"
@@ -329,8 +336,7 @@ let write_cluster_json ~requests rows =
         o.Replica.converged
         (if i = List.length rows - 1 then "" else ","))
     rows;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
+  Printf.fprintf oc "  ]\n}\n"
 
 let run_e19_cluster ~quick () =
   section
@@ -381,8 +387,7 @@ let run_e19_cluster ~quick () =
        Format.fprintf fmt "@.FAIL: the single-crash run never rejoined@.";
        exit 1
    | _ -> ());
-  write_cluster_json ~requests rows;
-  Format.fprintf fmt "@.(rows written to %s)@." cluster_json_file
+  write_json ~quick cluster_json_file (write_cluster_json ~requests rows)
 
 (* --- E8/E10: scavenge economics --- *)
 

@@ -435,7 +435,7 @@ let do_scavenge vm =
   Fun.protect ~finally:(fun () -> Sanitizer.set_armed san was_armed)
   @@ fun () ->
   let workers =
-    min vm.config.Config.scavenge_workers vm.config.Config.processors
+    Int.min vm.config.Config.scavenge_workers vm.config.Config.processors
   in
   let cost =
     if workers <= 1 then begin
@@ -544,6 +544,14 @@ let do_major_slice vm mj =
 let major_due vm ~now =
   match vm.major with Some mj -> Major.due mj ~now | None -> false
 
+(* [major_due] at the frontier of virtual time.  The frontier costs a
+   pass over every processor, so it is computed only when a collector
+   exists: both engines ask this once per event. *)
+let major_due_at_frontier vm =
+  match vm.major with
+  | Some mj -> Major.due mj ~now:(Machine.max_clock vm.machine)
+  | None -> false
+
 (* Signal a timer's semaphore at its deadline: wake the first waiter or
    bank an excess signal, exactly as the signal primitive would. *)
 let signal_timer_sem vm ~now sem =
@@ -642,15 +650,17 @@ type run_outcome =
 
 (* The original engine: every event rescans the machine for the smallest
    runnable clock, and idle processors are re-stepped every few quanta.
-   Kept verbatim as the differential-oracle reference for the calendar
-   engine. *)
+   It is the differential-oracle reference for the calendar engine: its
+   behaviour — every decision, charge and cycle count — is kept
+   identical to the original, even where its code has been tuned for
+   host speed. *)
 let run_scan vm ~max_cycles ~finished ~result outcome =
-  while !outcome = None do
+  while Option.is_none !outcome do
     vm.engine_events <- vm.engine_events + 1;
     if !finished then
       outcome := Some (Finished (Option.get !result))
     else if vm.gc_requested || vm.shared.State.gc_wanted then do_scavenge vm
-    else if major_due vm ~now:(Machine.max_clock vm.machine) then
+    else if major_due_at_frontier vm then
       do_major_slice vm (Option.get vm.major)
     else begin
       if not (Calendar.is_empty vm.shared.State.timers) then
@@ -697,7 +707,8 @@ let run_scan vm ~max_cycles ~finished ~result outcome =
              so what a crash leaves behind is exactly what a dead
              processor leaves — an unreleased lock, a Process with no
              executor — not a half-mutated structure *)
-          if Machine.injector vm.machine <> None then deliver_crashes vm
+          if Option.is_some (Machine.injector vm.machine) then
+            deliver_crashes vm
     end
   done
 
@@ -826,7 +837,9 @@ let run_calendar vm ~max_cycles ~finished ~result outcome =
     let id = vp.Machine.id in
     let st = vm.states.(id) in
     let interp = vm.interps.(id) in
-    let can_batch = Machine.policy m = None && Machine.injector m = None in
+    let can_batch =
+      Option.is_none (Machine.policy m) && Option.is_none (Machine.injector m)
+    in
     let rec loop () =
       let r =
         match Interp.step interp with
@@ -889,11 +902,11 @@ let run_calendar vm ~max_cycles ~finished ~result outcome =
     in
     loop ()
   in
-  while !outcome = None do
+  while Option.is_none !outcome do
     vm.engine_events <- vm.engine_events + 1;
     if !finished then outcome := Some (Finished (Option.get !result))
     else if vm.gc_requested || vm.shared.State.gc_wanted then do_scavenge vm
-    else if major_due vm ~now:(Machine.max_clock m) then
+    else if major_due_at_frontier vm then
       do_major_slice vm (Option.get vm.major)
     else begin
       (match
@@ -923,7 +936,8 @@ let run_calendar vm ~max_cycles ~finished ~result outcome =
               | None -> ())
           | None -> (
               match Devices.next_input_time vm.shared.State.input with
-              | Some t when !parked_count > 0 -> unpark_all ~now:(max t (Machine.max_clock m))
+              | Some t when !parked_count > 0 ->
+                  unpark_all ~now:(Int.max t (Machine.max_clock m))
               | _ ->
                   if !parked_count = 0 then
                     (* every processor is dead or GC-parked: the scan
@@ -935,7 +949,7 @@ let run_calendar vm ~max_cycles ~finished ~result outcome =
                        recorded — conservatively unreachable; unpark
                        everyone rather than misreport a deadlock *)
                     unpark_all ~now:(Machine.max_clock m))));
-      if Machine.injector m <> None then deliver_crashes vm
+      if Option.is_some (Machine.injector m) then deliver_crashes vm
     end
   done
 
@@ -947,7 +961,7 @@ let run ?(max_cycles = 100_000_000_000) ?watch vm =
   (* the watched Process lives in new space; keep the comparison oop up to
      date across scavenges *)
   let watch_cell = ref (match watch with Some w -> w | None -> Oop.sentinel) in
-  if watch <> None then Heap.add_root vm.heap watch_cell;
+  if Option.is_some watch then Heap.add_root vm.heap watch_cell;
   (vm.shared).State.on_terminate <-
     (fun proc value ->
       match watch with
@@ -963,7 +977,7 @@ let run ?(max_cycles = 100_000_000_000) ?watch vm =
   Fun.protect
     ~finally:(fun () ->
       Sanitizer.set_armed san false;
-      if watch <> None then Heap.remove_root vm.heap watch_cell)
+      if Option.is_some watch then Heap.remove_root vm.heap watch_cell)
   @@ fun () ->
   (match vm.config.Config.engine with
    | Config.Engine_scan -> run_scan vm ~max_cycles ~finished ~result outcome

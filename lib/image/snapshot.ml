@@ -234,6 +234,14 @@ let load path =
         with End_of_file -> corrupt path "empty file (missing header)"
       in
       let fp, entries, len, sum = parse_header path line in
+      (* the header's length is data too: check it against the bytes
+         actually present before allocating, so a damaged field is a
+         [Corrupt] rather than an [Invalid_argument] from [Bytes.create] *)
+      let remaining = in_channel_length ic - pos_in ic in
+      if len < 0 then corrupt path "negative payload length %d" len;
+      if len > remaining then
+        corrupt path "truncated payload (want %d bytes, %d present)" len
+          remaining;
       let payload = Bytes.create len in
       (try really_input ic payload 0 len
        with End_of_file ->

@@ -279,6 +279,11 @@ let running_on t proc =
   let v = Heap.get (heap t) proc Layout.Process.running_on in
   if Oop.is_small v then Some (Oop.small_val v) else None
 
+(* [running_on t proc] is [None], without the option: the ready-queue
+   scans ask this once per queued Process. *)
+let not_running t proc =
+  not (Oop.is_small (Heap.get (heap t) proc Layout.Process.running_on))
+
 (* --- deques --- *)
 
 let deque t ~owner ~priority =
@@ -317,7 +322,7 @@ let first_eligible t list =
   let rec scan cur =
     if Oop.equal cur n then None
     else if
-      running_on t cur = None
+      not_running t cur
       && process_state t cur = Layout.Process_state.runnable
     then Some cur
     else scan (Heap.get h cur Layout.Process.next_link)
@@ -334,7 +339,7 @@ let last_eligible t list =
     if Oop.equal cur n then ()
     else begin
       if
-        running_on t cur = None
+        not_running t cur
         && process_state t cur = Layout.Process_state.runnable
       then best := Some cur;
       scan (Heap.get h cur Layout.Process.next_link)
@@ -553,7 +558,7 @@ let pick t ~now ~vp =
               let rec scan cur =
                 if Oop.equal cur n then ()
                 else if
-                  running_on t cur = None
+                  not_running t cur
                   && process_state t cur = Layout.Process_state.runnable
                 then found := cur
                 else scan (Heap.get h cur Layout.Process.next_link)
@@ -577,11 +582,12 @@ let pick t ~now ~vp =
         (* optimistic peek: priority-major, own deque first at each level *)
         let candidate = ref None in
         let priority = ref Layout.Scheduler.priorities in
-        while !candidate = None && !priority >= 1 do
+        while Option.is_none !candidate && !priority >= 1 do
           let consider owner =
             if
-              !candidate = None
-              && first_eligible t (deque t ~owner ~priority:!priority) <> None
+              Option.is_none !candidate
+              && Option.is_some
+                   (first_eligible t (deque t ~owner ~priority:!priority))
             then candidate := Some (owner, !priority)
           in
           consider vp;
@@ -908,7 +914,7 @@ let better_ready t ~than:p =
     let rec scan cur =
       if Oop.equal cur n then false
       else if
-        running_on t cur = None
+        not_running t cur
         && process_state t cur = Layout.Process_state.runnable
       then true
       else scan (Heap.get h cur Layout.Process.next_link)

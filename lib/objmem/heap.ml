@@ -331,14 +331,14 @@ let free_take h total =
   else begin
     let found = ref None in
     let b = ref (free_bucket total) in
-    while !found = None && !b < 16 do
+    while Option.is_none !found && !b < 16 do
       (match h.free_lists.(!b) with
        | a :: rest ->
            h.free_lists.(!b) <- rest;
            h.free_words <- h.free_words - (!b + 2);
            found := Some (a, !b + 2)
        | [] -> ());
-      if !found = None then incr b
+      if Option.is_none !found then incr b
     done;
     (match !found with
      | Some _ -> ()

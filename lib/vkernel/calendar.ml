@@ -59,7 +59,7 @@ let rec sift_down t i =
   end
 
 let grow t =
-  let cap = max 8 (2 * Array.length t.a) in
+  let cap = Int.max 8 (2 * Array.length t.a) in
   let a = Array.make cap t.a.(0) in
   Array.blit t.a 0 a 0 t.len;
   t.a <- a

@@ -69,7 +69,7 @@ let running_count m =
 
 (* Recompute the bus multiplier; called when a processor changes state. *)
 let refresh_bus m =
-  let extra = max 0 (running_count m - 1) in
+  let extra = Int.max 0 (running_count m - 1) in
   let beta = m.cost.Cost_model.bus_beta in
   m.bus_factor_num <- 1024 + int_of_float (beta *. float_of_int extra *. 1024.)
 
@@ -159,46 +159,57 @@ let charge_mem m vp cycles =
    the lowest id; an installed policy is consulted only when there are at
    least two minimal candidates, so the default run never queries it. *)
 let min_runnable m =
-  let best = ref None in
-  Array.iter
-    (fun vp ->
-      match vp.state with
-      | Running | Idle ->
-          (match !best with
-           | Some b when b.clock <= vp.clock -> ()
-           | _ -> best := Some vp)
-      | Parked_for_gc | Halted -> ())
-    m.vps;
-  match m.policy, !best with
-  | None, b | _, (None as b) -> b
-  | Some p, Some b ->
-      (* Count the minimal candidates first: the common case is a unique
-         minimum, and materializing the tie array for it would put an
-         allocation on every explorer engine event. *)
-      let n = ref 0 in
-      Array.iter
-        (fun vp ->
-          match vp.state with
-          | (Running | Idle) when vp.clock = b.clock -> incr n
-          | Running | Idle | Parked_for_gc | Halted -> ())
-        m.vps;
-      if !n < 2 then Some b
-      else begin
-        let ties = Array.make !n b in
-        let i = ref 0 in
+  (* Scan by index and allocate the result once: this runs on every
+     scan-engine event. *)
+  let vps = m.vps in
+  let best = ref (-1) in
+  for i = 0 to Array.length vps - 1 do
+    let vp = vps.(i) in
+    match vp.state with
+    | Running | Idle ->
+        if !best < 0 || vp.clock < vps.(!best).clock then best := i
+    | Parked_for_gc | Halted -> ()
+  done;
+  if !best < 0 then None
+  else
+    let b = vps.(!best) in
+    match m.policy with
+    | None -> Some b
+    | Some p ->
+        (* Count the minimal candidates first: the common case is a unique
+           minimum, and materializing the tie array for it would put an
+           allocation on every explorer engine event. *)
+        let n = ref 0 in
         Array.iter
           (fun vp ->
             match vp.state with
-            | (Running | Idle) when vp.clock = b.clock ->
-                ties.(!i) <- vp;
-                incr i
+            | (Running | Idle) when vp.clock = b.clock -> incr n
             | Running | Idle | Parked_for_gc | Halted -> ())
-          m.vps;
-        Some (p.choose_tie ties)
-      end
+          vps;
+        if !n < 2 then Some b
+        else begin
+          let ties = Array.make !n b in
+          let i = ref 0 in
+          Array.iter
+            (fun vp ->
+              match vp.state with
+              | (Running | Idle) when vp.clock = b.clock ->
+                  ties.(!i) <- vp;
+                  incr i
+              | Running | Idle | Parked_for_gc | Halted -> ())
+            vps;
+          Some (p.choose_tie ties)
+        end
 
+(* The largest clock over every processor, halted ones included.  An int
+   loop: [Stdlib.max] would be a generic-compare call per processor. *)
 let max_clock m =
-  Array.fold_left (fun t vp -> max t vp.clock) 0 m.vps
+  let t = ref 0 in
+  for i = 0 to Array.length m.vps - 1 do
+    let c = m.vps.(i).clock in
+    if c > !t then t := c
+  done;
+  !t
 
 let all_parked_or_halted m =
   Array.for_all

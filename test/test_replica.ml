@@ -151,6 +151,56 @@ let test_snapshot_loader_rejects () =
   write_file flipped (Bytes.to_string b);
   reject_snapshot "bit-rot" flipped
 
+(* A damaged length field must be rejected before anything is allocated
+   for it: negative, beyond the bytes present, and absurdly large all
+   give [Corrupt], so the rejoin fallback (which catches only [Corrupt])
+   moves on to an older checkpoint instead of crashing the cluster. *)
+let test_snapshot_rejects_bad_len () =
+  let dir = tmp_dir () in
+  let node = Replica.build_node ~slots:2 ~shards:2 in
+  let snap =
+    Snapshot.capture node.Replica.vm.Vm.heap
+      ~fingerprint:(Replica.fingerprint_of node.Replica.vm)
+      ~entries:0
+      ~registers:(Replica.capture_registers node.Replica.vm)
+  in
+  let whole = Filename.concat dir "whole.snap" in
+  Snapshot.save whole snap;
+  let content = read_file whole in
+  let nl = String.index content '\n' in
+  let header = String.sub content 0 nl in
+  let body = String.sub content nl (String.length content - nl) in
+  let len =
+    List.find_map
+      (fun f ->
+        if String.length f > 4 && String.sub f 0 4 = "len=" then
+          int_of_string_opt (String.sub f 4 (String.length f - 4))
+        else None)
+      (String.split_on_char ' ' header)
+    |> Option.get
+  in
+  let with_len v =
+    String.concat " "
+      (List.map
+         (fun f ->
+           if String.length f > 4 && String.sub f 0 4 = "len=" then
+             Printf.sprintf "len=%d" v
+           else f)
+         (String.split_on_char ' ' header))
+  in
+  List.iter
+    (fun (what, v) ->
+      let path = Filename.concat dir (what ^ ".snap") in
+      write_file path (with_len v ^ body);
+      reject_snapshot what path)
+    [ ("len=-1", -1);
+      ("len one past the payload", len + 1);
+      ("len=max_int", max_int) ];
+  (* the unedited header still loads: the edits, not the rewrite, fail *)
+  let same = Filename.concat dir "same.snap" in
+  write_file same (with_len len ^ body);
+  ignore (Snapshot.load same)
+
 let reject_log what path =
   match Cmdlog.load path with
   | exception Cmdlog.Corrupt _ -> ()
@@ -330,6 +380,8 @@ let () =
            test_restored_machine_keeps_executing;
          Alcotest.test_case "loader rejects empty/truncated/unparseable"
            `Quick test_snapshot_loader_rejects;
+         Alcotest.test_case "loader rejects a damaged length field" `Quick
+           test_snapshot_rejects_bad_len;
          Alcotest.test_case "restore rejects wrong geometry" `Quick
            test_restore_rejects_wrong_geometry ]);
       ("cmdlog",

@@ -134,6 +134,58 @@ let test_deterministic () =
   in
   Alcotest.(check int) "identical cycle counts on identical runs" (run ()) (run ())
 
+(* The simulated model, pinned.  [test_deterministic] only compares a run
+   with itself, so a host-side change that drifted the simulated cycles
+   would pass it; these constants were recorded from the model and must
+   change only with a deliberate change to the model itself (then
+   re-record them, and perfbench's reference with them). *)
+let steps (vm : Vm.t) =
+  Array.fold_left (fun a (st : State.t) -> a + st.State.steps) 0 vm.Vm.states
+
+let test_pinned_table2 () =
+  let b =
+    { (List.find (fun b -> b.Macro.key = "definition") Macro.benchmarks) with
+      Macro.reps = 3 }
+  in
+  let cell state =
+    let vm = Macro.prepare_vm state in
+    let s0 = steps vm in
+    let c = Macro.run_on vm b in
+    (Macro.state_name state, c.Macro.cycles, c.Macro.scavenges, steps vm - s0)
+  in
+  Alcotest.(check (list (pair string (triple int int int))))
+    "definition x3: cycles, scavenges, bytecodes per state (scan engine)"
+    [ ("Baseline BS on multiprocessor", (1_119_636, 1, 37_909));
+      ("MS on multiprocessor", (1_172_379, 1, 37_909));
+      ("MS with four idle Processes", (1_264_178, 1, 312_072));
+      ("MS with four busy Processes", (1_516_440, 8, 178_353)) ]
+    (List.map
+       (fun state ->
+         let name, cy, sc, bc = cell state in
+         (name, (cy, sc, bc)))
+       Macro.all_states)
+
+(* Both engines, so the scan engine's idle path (absent from the Table 2
+   cells above) is pinned too. *)
+let test_pinned_server () =
+  let p =
+    { Server.default_params with
+      Server.sessions = 4;
+      workers = 2;
+      requests = 2;
+      think_ms = 100;
+      loop = Server.Closed }
+  in
+  let run engine =
+    let config = { (Config.ms ~processors:8 ()) with Config.engine } in
+    let _vm, s = Server.run config p in
+    (s.Server.completed, s.Server.run_cycles, s.Server.latency.Server.p50)
+  in
+  Alcotest.(check (list (triple int int int)))
+    "server on the scan and calendar engines: completed, run_cycles, p50"
+    [ (8, 1_604_636, 462_082); (8, 1_600_236, 461_254) ]
+    [ run Config.Engine_scan; run Config.Engine_calendar ]
+
 let () =
   Alcotest.run "states"
     [ ("table2",
@@ -145,4 +197,7 @@ let () =
        [ Alcotest.test_case "free contexts" `Slow test_ablation_free_contexts;
          Alcotest.test_case "method cache" `Slow test_ablation_method_cache;
          Alcotest.test_case "replicated eden" `Slow test_ablation_replicated_eden;
-         Alcotest.test_case "determinism" `Quick test_deterministic ]) ]
+         Alcotest.test_case "determinism" `Quick test_deterministic ]);
+      ("pinned",
+       [ Alcotest.test_case "table2 cells" `Quick test_pinned_table2;
+         Alcotest.test_case "server" `Quick test_pinned_server ]) ]

@@ -285,23 +285,69 @@ let test_input_multi_vp_contention () =
 
 (* --- machine --- *)
 
+(* A machine whose processors have the given clocks and states. *)
+let machine_of vps =
+  let m = Machine.make ~processors:(List.length vps) cm in
+  List.iteri
+    (fun i (c, st) ->
+      let vp = Machine.vp m i in
+      vp.Machine.clock <- c;
+      Machine.set_state m vp st)
+    vps;
+  m
+
+let gen_vp_state =
+  QCheck.Gen.oneofl
+    [ Machine.Running; Machine.Idle; Machine.Parked_for_gc; Machine.Halted ]
+
+let show_vp_state = function
+  | Machine.Running -> "Running"
+  | Machine.Idle -> "Idle"
+  | Machine.Parked_for_gc -> "Parked_for_gc"
+  | Machine.Halted -> "Halted"
+
+(* (clock, state) per processor *)
+let arb_vps =
+  QCheck.make
+    ~print:QCheck.Print.(list (pair int show_vp_state))
+    QCheck.Gen.(list_size (int_range 1 8) (pair (int_range 0 5) gen_vp_state))
+
 (* Clock ties must resolve deterministically: the engine steps the vp with
-   the lowest id among the minimum clocks, so identical inputs replay to
-   identical schedules. *)
+   the lowest id among the minimum clocks of the runnable (Running or
+   Idle) processors, so identical inputs replay to identical schedules.
+   The reference is the obvious one: the first runnable index holding
+   the least runnable clock. *)
 let prop_min_runnable_deterministic =
-  QCheck.Test.make ~count:300 ~name:"min_runnable breaks clock ties by id"
-    QCheck.(list_of_size Gen.(int_range 1 8) (int_range 0 5))
-    (fun clocks ->
-      let n = List.length clocks in
-      let m = Machine.make ~processors:n cm in
-      List.iteri (fun i c -> (Machine.vp m i).Machine.clock <- c) clocks;
-      let least = List.fold_left min max_int clocks in
-      match Machine.min_runnable m with
-      | None -> false
-      | Some vp ->
-          vp.Machine.clock = least
-          && List.filteri (fun i c -> c = least && i < vp.Machine.id) clocks
-             = [])
+  QCheck.Test.make ~count:500 ~name:"min_runnable breaks clock ties by id"
+    arb_vps (fun vps ->
+      let m = machine_of vps in
+      let runnable = function
+        | Machine.Running | Machine.Idle -> true
+        | Machine.Parked_for_gc | Machine.Halted -> false
+      in
+      let expected =
+        List.fold_left
+          (fun best (i, (c, st)) ->
+            match best with
+            | _ when not (runnable st) -> best
+            | Some (_, bc) when bc <= c -> best
+            | _ -> Some (i, c))
+          None
+          (List.mapi (fun i v -> (i, v)) vps)
+      in
+      match (Machine.min_runnable m, expected) with
+      | None, None -> true
+      | Some vp, Some (i, c) -> vp.Machine.id = i && vp.Machine.clock = c
+      | Some _, None | None, Some _ -> false)
+
+(* The frontier of virtual time counts every processor's clock, halted
+   and GC-parked ones included. *)
+let prop_max_clock_naive =
+  QCheck.Test.make ~count:500 ~name:"max_clock is the largest clock of any vp"
+    arb_vps (fun vps ->
+      let m = machine_of vps in
+      Machine.max_clock m
+      = List.fold_left (fun t (c, _) -> Stdlib.max t c) 0 vps)
 
 let test_machine_min_runnable () =
   let m = Machine.make ~processors:3 cm in
@@ -434,7 +480,8 @@ let () =
       ("spinlock_properties",
        [ QCheck_alcotest.to_alcotest prop_locked_op_model;
          QCheck_alcotest.to_alcotest prop_locked_op_disabled;
-         QCheck_alcotest.to_alcotest prop_min_runnable_deterministic ]);
+         QCheck_alcotest.to_alcotest prop_min_runnable_deterministic;
+         QCheck_alcotest.to_alcotest prop_max_clock_naive ]);
       ("trace", [ QCheck_alcotest.to_alcotest prop_trace_ring ]);
       ("mailbox",
        [ Alcotest.test_case "timing" `Quick test_mailbox;
