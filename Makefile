@@ -1,4 +1,8 @@
 # Convenience targets; `make check` is what CI runs.
+#
+# Smokes that write files (--dump) put them in one `mktemp -d` directory
+# per target, removed when the recipe's shell exits, so concurrent runs
+# never share a path.
 
 .PHONY: all build test check smoke-parallel-scavenge explore-smoke fault-smoke steal-smoke server-smoke dpor-smoke gc-smoke cluster-smoke bench clean
 
@@ -22,10 +26,11 @@ smoke-parallel-scavenge:
 # whose replayed trace reproduces the failure.
 explore-smoke:
 	dune exec bin/mst.exe -- explore --config=ms --seeds=8 --quick
+	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	dune exec bin/mst.exe -- explore --config=bs-unlocked --seeds=4 --quick \
-	  --expect-violation --dump /tmp/mst-explore-unlocked
+	  --expect-violation --dump "$$d/explore-unlocked"; \
 	dune exec bin/mst.exe -- explore --config=ctx-unbracketed --seeds=4 --quick \
-	  --expect-violation --dump /tmp/mst-explore-ctx
+	  --expect-violation --dump "$$d/explore-ctx"
 
 # Seeded fault campaigns with the strict sanitizer: every crash must be
 # survived by failover, every degraded collection must verify, the
@@ -34,9 +39,10 @@ explore-smoke:
 fault-smoke:
 	dune exec bin/mst.exe -- faults --campaign=crash --seeds=4 --quick
 	dune exec bin/mst.exe -- faults --campaign=gc --seeds=4 --quick
+	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	dune exec bin/mst.exe -- faults --deadlock --quick --seeds=12 \
-	  --dump /tmp/mst-deadlock.plan
-	dune exec bin/mst.exe -- faults --replay=/tmp/mst-deadlock.plan \
+	  --dump "$$d/deadlock.plan"; \
+	dune exec bin/mst.exe -- faults --replay="$$d/deadlock.plan" \
 	  --expect-deadlock --quick
 
 # E16 work stealing: a strict-sanitized stealing run on a busy workload,
@@ -48,8 +54,9 @@ steal-smoke:
 	  --sanitize=strict \
 	  "| s | s := 0. 1 to: 200 do: [:i | s := s + i]. s"
 	dune exec bin/mst.exe -- explore --config=stealing --seeds=50 --quick
+	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	dune exec bin/mst.exe -- explore --config=steal-unlocked --seeds=4 --quick \
-	  --expect-violation --dump /tmp/mst-explore-steal
+	  --expect-violation --dump "$$d/explore-steal"
 
 # E17 image server: a strict-sanitized closed-loop serve on the calendar
 # engine, run differentially so the scan engine must agree on every
@@ -68,10 +75,11 @@ server-smoke:
 dpor-smoke:
 	dune exec bin/mst.exe -- explore --config=ms --dpor --stats --quick \
 	  --budget=12
+	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	dune exec bin/mst.exe -- explore --config=ctx-unbracketed --dpor --quick \
-	  --budget=4 --expect-violation --dump /tmp/mst-dpor-ctx
+	  --budget=4 --expect-violation --dump "$$d/dpor-ctx"; \
 	dune exec bin/mst.exe -- explore --config=steal-unlocked --dpor --quick \
-	  --budget=4 --expect-violation --dump /tmp/mst-dpor-steal
+	  --budget=4 --expect-violation --dump "$$d/dpor-steal"
 	dune exec bin/mst.exe -- explore --quick --seeds=0 2>/dev/null; \
 	  test $$? -eq 2 || { echo "FAIL: --seeds 0 must exit 2"; exit 1; }
 	dune exec bin/mst.exe -- explore --quick --dpor --budget=0 2>/dev/null; \
@@ -88,8 +96,9 @@ gc-smoke:
 	  '| keep | keep := Array new: 64. 1 to: 4000 do: [:i | keep at: i \\ 64 + 1 put: (Array new: 16)]. 6 factorial'
 	dune exec bench/main.exe -- e18-gc --quick
 	dune exec bin/mst.exe -- explore --config=major --seeds=4 --quick
+	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	dune exec bin/mst.exe -- explore --config=major-nobarrier --seeds=4 --quick \
-	  --expect-violation --dump /tmp/mst-explore-major
+	  --expect-violation --dump "$$d/explore-major"
 
 # E19 replicated image cluster: three replicas over a durable command
 # log with one injected crash — the victim must rejoin from a checkpoint
@@ -97,14 +106,16 @@ gc-smoke:
 # must fall back past the damaged file; the deliberately-divergent
 # replica (one dropped log entry) must be caught by the detector; the
 # replica fault campaign (torn checkpoint, crash mid-replay, double
-# crash) must record zero incorrect outcomes.
+# crash) must record zero incorrect outcomes.  Checkpoints go to fresh
+# directories under $TMPDIR, here the target's own temporary directory.
 cluster-smoke:
+	set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; export TMPDIR="$$d"; \
 	dune exec bin/mst.exe -- cluster --requests=24 --crash-seed=5 \
-	  --expect-rejoin
+	  --expect-rejoin; \
 	dune exec bin/mst.exe -- cluster --requests=24 --crash-seed=5 \
-	  --scenario=torn-checkpoint --expect-rejoin
+	  --scenario=torn-checkpoint --expect-rejoin; \
 	dune exec bin/mst.exe -- cluster --requests=12 --skip-lsn=3 \
-	  --expect-divergence
+	  --expect-divergence; \
 	dune exec bin/mst.exe -- faults --campaign=replica --seeds=2 --quick
 
 # Ends by checking that nothing above rewrote a committed BENCH_*.json:

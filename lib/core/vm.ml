@@ -121,9 +121,6 @@ let create (config : Config.t) =
     Sanitizer.create ~trace_capacity:config.Config.trace_capacity
       config.Config.sanitize
   in
-  (* transcript capture is per-VM in spirit; reset the (module-level)
-     buffer so successive VMs in one process don't interleave *)
-  Buffer.clear Primitives.transcript;
   let shared = {
     State.u;
     heap;
@@ -134,6 +131,7 @@ let create (config : Config.t) =
     entry_lock;
     display;
     input;
+    transcript = Buffer.create 256;
     sym_does_not_understand = Universe.intern u "doesNotUnderstand:";
     input_semaphore = ref Oop.sentinel;
     on_terminate = (fun _ _ -> ());
@@ -1029,7 +1027,7 @@ let describe vm (o : Oop.t) =
 
 let eval_to_string ?priority vm source = describe vm (eval ?priority vm source)
 
-let transcript _vm = Buffer.contents Primitives.transcript
+let transcript vm = Buffer.contents vm.shared.State.transcript
 
 let cycles vm = Machine.max_clock vm.machine
 let seconds vm = Cost_model.seconds vm.config.Config.cost (cycles vm)

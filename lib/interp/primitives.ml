@@ -606,8 +606,6 @@ let prim_display st ~nargs =
     pop_all_push st ~nargs (peek st ~depth:1)
   end
 
-let transcript = Buffer.create 256
-
 let prim_transcript_show st ~nargs =
   if nargs <> 1 then Failed
   else
@@ -621,7 +619,7 @@ let prim_transcript_show st ~nargs =
           Devices.display_enqueue ~vp:st.id st.sh.display ~now:(now st)
         in
         sync_to st finish;
-        Buffer.add_string transcript s;
+        Buffer.add_string st.sh.transcript s;
         pop_all_push st ~nargs (peek st ~depth:1)
 
 (* Cycles per millisecond, floored at 1 so sub-ms-resolution cost models

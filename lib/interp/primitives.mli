@@ -47,9 +47,5 @@ val new_string_obj : State.t -> string -> Oop.t
 
 val new_array_obj : State.t -> Oop.t list -> Oop.t
 
-(** Everything written through the Transcript primitive (process-wide;
-    cleared by [Vm.create]). *)
-val transcript : Buffer.t
-
 (** Run primitive [prim] for a send with [nargs] arguments on the stack. *)
 val run : State.t -> prim:int -> nargs:int -> outcome

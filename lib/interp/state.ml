@@ -29,6 +29,8 @@ type shared = {
   entry_lock : Spinlock.t;
   display : Devices.display;
   input : Devices.input_queue;
+  (* everything written through the Transcript primitive *)
+  transcript : Buffer.t;
   (* specials resolved once at bootstrap *)
   mutable sym_does_not_understand : Oop.t;
   input_semaphore : Oop.t ref;            (* signalled on input events *)
@@ -111,16 +113,16 @@ let make ~id ~sh ~mcache ~free_ctxs =
   Heap.add_root sh.heap st.active_process;
   st
 
-let nil st = st.sh.u.Universe.nil
+let[@inline] nil st = st.sh.u.Universe.nil
 
 (* Virtual time at the current point inside the running step. *)
-let now st = st.vp.Machine.clock + st.cost
+let[@inline] now st = st.vp.Machine.clock + st.cost
 
-let add_cost st c = st.cost <- st.cost + c
+let[@inline] add_cost st c = st.cost <- st.cost + c
 
 (* Absorb the result of a timeline operation (lock, device) that returned
    an absolute completion time. *)
-let sync_to st finish =
+let[@inline] sync_to st finish =
   let n = now st in
   if finish > n then st.cost <- st.cost + (finish - n)
 
@@ -152,44 +154,49 @@ let refresh_cache st =
 
 (* --- context stack operations (on the active context) --- *)
 
-let get_pc st = Oop.small_val (Heap.get st.sh.heap !(st.active_ctx) Layout.Ctx.pc)
-let set_pc st pc =
+let[@inline] get_pc st =
+  Oop.small_val (Heap.get st.sh.heap !(st.active_ctx) Layout.Ctx.pc)
+let[@inline] set_pc st pc =
   Heap.set_raw st.sh.heap !(st.active_ctx) Layout.Ctx.pc (Oop.of_small pc)
 
-let get_sp st =
+let[@inline] get_sp st =
   Oop.small_val (Heap.get st.sh.heap !(st.active_ctx) Layout.Ctx.stackp)
-let set_sp st sp =
+let[@inline] set_sp st sp =
   Heap.set_raw st.sh.heap !(st.active_ctx) Layout.Ctx.stackp (Oop.of_small sp)
 
 (* Pointer store with the generation-scavenging store check; an insertion
    into the entry table passes through the entry-table lock (serialization,
    paper section 3.1) — acquired before the store, so the insert happens
-   inside the critical section. *)
-let store_with_check st obj i v =
+   inside the critical section.  The test inlines into every caller; the
+   locked insertion stays out of line, because its closure would stop
+   [store_with_check] (and so [push]) from inlining. *)
+let store_remembering st obj i v =
   let h = st.sh.heap in
-  if Heap.store_would_remember h obj v then begin
-    let finish, () =
-      Spinlock.critical ~vp:st.id st.sh.entry_lock ~now:(now st)
-        ~op_cycles:st.sh.cm.Cost_model.remember_insert (fun () ->
-          ignore (Heap.store_ptr h obj i v))
-    in
-    sync_to st finish
-  end
+  let finish, () =
+    Spinlock.critical ~vp:st.id st.sh.entry_lock ~now:(now st)
+      ~op_cycles:st.sh.cm.Cost_model.remember_insert (fun () ->
+        ignore (Heap.store_ptr h obj i v))
+  in
+  sync_to st finish
+
+let[@inline] store_with_check st obj i v =
+  let h = st.sh.heap in
+  if Heap.store_would_remember h obj v then store_remembering st obj i v
   else ignore (Heap.store_ptr h obj i v)
 
-let push st v =
+let[@inline] push st v =
   let sp = get_sp st in
   store_with_check st !(st.active_ctx) (Layout.Ctx.fixed_slots + sp) v;
   set_sp st (sp + 1)
 
-let pop st =
+let[@inline] pop st =
   let sp = get_sp st - 1 in
   let v = Heap.get st.sh.heap !(st.active_ctx) (Layout.Ctx.fixed_slots + sp) in
   set_sp st sp;
   v
 
-let peek st ~depth =
+let[@inline] peek st ~depth =
   let sp = get_sp st in
   Heap.get st.sh.heap !(st.active_ctx) (Layout.Ctx.fixed_slots + sp - 1 - depth)
 
-let popn st n = set_sp st (get_sp st - n)
+let[@inline] popn st n = set_sp st (get_sp st - n)

@@ -85,7 +85,7 @@ type t = {
 
 let region base words = { ptr = base; base; limit = base + words }
 let region_used r = r.ptr - r.base
-let region_avail r = r.limit - r.ptr
+let[@inline] region_avail r = r.limit - r.ptr
 
 let create ?(policy = Unlocked) ?(processors = 1) ?(tenure_age = 4)
     ~old_words ~eden_words ~survivor_words () =
@@ -153,7 +153,7 @@ let remove_root h cell =
 let add_array_root h arr = h.array_roots <- arr :: h.array_roots
 let on_scavenge h hook = h.on_scavenge <- hook :: h.on_scavenge
 
-let is_new h (o : Oop.t) = Oop.is_ptr o && Oop.addr o >= h.new_base
+let[@inline] is_new h (o : Oop.t) = Oop.is_ptr o && Oop.addr o >= h.new_base
 let is_old h (o : Oop.t) =
   Oop.is_ptr o && Oop.addr o >= 2 && Oop.addr o < h.new_base
 
@@ -175,10 +175,10 @@ let class_of h (o : Oop.t) ~small_int_class =
 
 (* --- field access --- *)
 
-let get h (o : Oop.t) i = h.mem.(Oop.addr o + Layout.header_words + i)
+let[@inline] get h (o : Oop.t) i = h.mem.(Oop.addr o + Layout.header_words + i)
 
 (* Raw store, for non-pointer values and for new-space receivers. *)
-let set_raw h (o : Oop.t) i v =
+let[@inline] set_raw h (o : Oop.t) i v =
   h.mem.(Oop.addr o + Layout.header_words + i) <- v
 
 (* --- the entry table --- *)
@@ -203,7 +203,7 @@ let remembered_count h = h.rset_len
 (* True when [store_ptr h o _ v] would insert [o] into the entry table —
    lets callers acquire the entry-table lock before the store instead of
    charging it after the fact. *)
-let store_would_remember h (o : Oop.t) (v : Oop.t) =
+let[@inline] store_would_remember h (o : Oop.t) (v : Oop.t) =
   let a = Oop.addr o in
   a < h.new_base && a >= 2 && is_new h v && not (is_remembered h a)
 
@@ -240,12 +240,12 @@ let rset_remove h a =
 
 (* --- allocation --- *)
 
-let eden_region h vp =
+let[@inline] eden_region h vp =
   match h.policy with
   | Replicated_eden -> h.eden_regions.(vp)
   | Unlocked | Shared_locked -> h.eden
 
-let eden_avail h ~vp = region_avail (eden_region h vp)
+let[@inline] eden_avail h ~vp = region_avail (eden_region h vp)
 let eden_used h =
   match h.policy with
   | Replicated_eden ->

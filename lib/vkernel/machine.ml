@@ -149,10 +149,10 @@ let set_state m vp state =
   refresh_bus m
 
 (* Charge [cycles] of CPU-local work to [vp]. *)
-let charge _m vp cycles = vp.clock <- vp.clock + cycles
+let[@inline] charge _m vp cycles = vp.clock <- vp.clock + cycles
 
 (* Charge [cycles] of memory-heavy work, inflated by bus contention. *)
-let charge_mem m vp cycles =
+let[@inline] charge_mem m vp cycles =
   vp.clock <- vp.clock + (cycles * m.bus_factor_num) asr 10
 
 (* The runnable processor with the smallest clock, if any.  Ties go to

@@ -188,6 +188,130 @@ let test_hot_modules_clean () =
         (violations (read_file (Filename.concat ".." path))))
     hot_modules
 
+(* The build setting the hot path depends on.  dune's dev profile
+   compiles every module with [-opaque], which (without flambda) rules
+   out all cross-module inlining, so the [[@inline]] helpers on the
+   per-bytecode path would become calls again.  The workspace must
+   select another profile, and since only dev makes warnings errors,
+   the root [env] stanza must restate dev's warning and strictness
+   flags for every profile. *)
+
+type sexp = Atom of string | List of sexp list
+
+(* The s-expressions of a dune file; [;] comments are dropped. *)
+let parse_sexps src =
+  let n = String.length src in
+  let blank c = is_space c || c = '\r' in
+  let rec skip i =
+    if i >= n then i
+    else if src.[i] = ';' then
+      match String.index_from_opt src i '\n' with
+      | Some j -> skip j
+      | None -> n
+    else if blank src.[i] then skip (i + 1)
+    else i
+  in
+  let rec items i acc =
+    let i = skip i in
+    if i >= n || src.[i] = ')' then (List.rev acc, i + 1)
+    else if src.[i] = '(' then
+      let l, j = items (i + 1) [] in
+      items j (List l :: acc)
+    else
+      let j = ref i in
+      while !j < n && not (blank src.[!j] || String.contains "();" src.[!j]) do
+        incr j
+      done;
+      items !j (Atom (String.sub src i (!j - i)) :: acc)
+  in
+  fst (items 0 [])
+
+let dev_flags =
+  [ "-w"; "@1..3@5..28@30..39@43@46..47@49..57@61..62-40";
+    "-strict-sequence"; "-strict-formats"; "-short-paths"; "-keep-locs"; "-g" ]
+
+(* The profile [(profile p)] selects, if any. *)
+let workspace_profile sexps =
+  List.find_map
+    (function List [ Atom "profile"; Atom p ] -> Some p | _ -> None)
+    sexps
+
+(* The [flags] of the root [env] clause that applies to every profile. *)
+let env_flags sexps =
+  List.find_map
+    (function
+      | List (Atom "env" :: clauses) ->
+          List.find_map
+            (function
+              | List (Atom "_" :: fields) ->
+                  List.find_map
+                    (function
+                      | List [ Atom "flags"; List fs ] ->
+                          Some
+                            (List.filter_map
+                               (function Atom a -> Some a | List _ -> None)
+                               fs)
+                      | _ -> None)
+                    fields
+              | _ -> None)
+            clauses
+      | _ -> None)
+    sexps
+
+(* What is wrong with a workspace/root-dune pair; [] when nothing. *)
+let build_problems ~workspace ~root =
+  let profile =
+    match workspace_profile (parse_sexps workspace) with
+    | None -> [ "dune-workspace selects no profile (dune defaults to dev)" ]
+    | Some "dev" -> [ "dune-workspace selects the dev profile (-opaque)" ]
+    | Some _ -> []
+  in
+  let flags =
+    match env_flags (parse_sexps root) with
+    | None -> [ "root dune has no (env (_ (flags (...))))" ]
+    | Some fs ->
+        List.filter_map
+          (fun f ->
+            if List.mem f fs then None else Some ("root env drops " ^ f))
+          dev_flags
+        @ if List.mem "-opaque" fs then [ "root env adds -opaque" ] else []
+  in
+  profile @ flags
+
+let root_with flags =
+  "(env\n (_\n  (flags\n   (" ^ String.concat "\n    " flags ^ "))))\n"
+
+let problems = Alcotest.(list string)
+
+let test_build_lint_detects () =
+  let release = "(lang dune 3.0)\n(profile release) ; optimised\n" in
+  let good = root_with dev_flags in
+  Alcotest.check problems "good pair" []
+    (build_problems ~workspace:release ~root:good);
+  Alcotest.check problems "dev profile"
+    [ "dune-workspace selects the dev profile (-opaque)" ]
+    (build_problems ~workspace:"(lang dune 3.0)\n(profile dev)" ~root:good);
+  Alcotest.check problems "no profile"
+    [ "dune-workspace selects no profile (dune defaults to dev)" ]
+    (build_problems ~workspace:"(lang dune 3.0)\n; (profile release)"
+       ~root:good);
+  Alcotest.check problems "flag dropped"
+    [ "root env drops -strict-sequence" ]
+    (build_problems ~workspace:release
+       ~root:(root_with (List.filter (( <> ) "-strict-sequence") dev_flags)));
+  Alcotest.check problems "opaque added" [ "root env adds -opaque" ]
+    (build_problems ~workspace:release
+       ~root:(root_with ("-opaque" :: dev_flags)));
+  Alcotest.check problems "no env"
+    [ "root dune has no (env (_ (flags (...))))" ]
+    (build_problems ~workspace:release ~root:"; (env (_ (flags (-g))))\n")
+
+let test_build_setting () =
+  Alcotest.check problems "dune-workspace and root dune" []
+    (build_problems
+       ~workspace:(read_file "../dune-workspace")
+       ~root:(read_file "../dune"))
+
 let () =
   Alcotest.run "hotpath"
     [ ("lint",
@@ -195,4 +319,9 @@ let () =
          Alcotest.test_case "ignores comments, strings, bindings" `Quick
            test_lint_ignores;
          Alcotest.test_case "per-event modules are clean" `Quick
-           test_hot_modules_clean ]) ]
+           test_hot_modules_clean ]);
+      ("build",
+       [ Alcotest.test_case "detects a dev or warning-less build" `Quick
+           test_build_lint_detects;
+         Alcotest.test_case "workspace is optimised, warnings errors" `Quick
+           test_build_setting ]) ]

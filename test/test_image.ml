@@ -120,10 +120,47 @@ let test_inspector () =
 
 let test_transcript () =
   let vm' = Lazy.force vm in
-  Buffer.clear Primitives.transcript;
+  Buffer.clear vm'.Vm.shared.State.transcript;
   ignore (Vm.eval vm' "Transcript show: 'hello'; show: ' world'");
   Alcotest.(check string) "transcript captured" "hello world"
     (Vm.transcript vm')
+
+(* Each VM has its own transcript: two VMs stepped alternately write the
+   same transcripts as the same two programs run one after the other on
+   fresh VMs. *)
+let test_transcript_per_vm () =
+  let program tag =
+    Printf.sprintf
+      "1 to: 12 do: [:i | Transcript show: '%s'; show: i printString]. 0" tag
+  in
+  let sequential tag =
+    let v = Vm.create (Config.testing ()) in
+    ignore (Vm.eval v (program tag));
+    Vm.transcript v
+  in
+  let a = Vm.create (Config.testing ()) in
+  let b = Vm.create (Config.testing ()) in
+  let pa = Vm.spawn a (program "a") in
+  let pb = Vm.spawn b (program "b") in
+  let step vm p limit =
+    match Vm.run ~max_cycles:limit ~watch:p vm with
+    | Vm.Finished _ -> true
+    | Vm.Cycle_limit -> false
+    | Vm.Deadlock -> Alcotest.fail "deadlock"
+  in
+  let rec alternate limit done_a done_b slices =
+    if slices > 10_000 then Alcotest.fail "programs did not finish";
+    if not (done_a && done_b) then begin
+      let done_a = done_a || step a pa limit in
+      let done_b = done_b || step b pb limit in
+      alternate (limit + 2_000) done_a done_b (slices + 1)
+    end
+    else slices
+  in
+  let slices = alternate 2_000 false false 0 in
+  check_bool "runs were interleaved" true (slices > 2);
+  Alcotest.(check string) "first VM" (sequential "a") (Vm.transcript a);
+  Alcotest.(check string) "second VM" (sequential "b") (Vm.transcript b)
 
 let test_display () =
   let vm' = Lazy.force vm in
@@ -168,4 +205,5 @@ let () =
          Alcotest.test_case "inspector" `Quick test_inspector ]);
       ("io",
        [ Alcotest.test_case "transcript" `Quick test_transcript;
+         Alcotest.test_case "transcript per VM" `Quick test_transcript_per_vm;
          Alcotest.test_case "display" `Quick test_display ]) ]
