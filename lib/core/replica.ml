@@ -53,8 +53,9 @@ let () =
 (* --- the replica workload ---
 
    Core-local application classes (no Transcript, no Display: those
-   devices buffer into process-global state shared across VMs, which a
-   multi-VM cluster must not touch).  Each shard keeps an order-
+   devices keep their output in per-VM host state outside the heap,
+   which neither a checkpoint nor the fingerprint covers, so a restored
+   replica would silently lose it).  Each shard keeps an order-
    sensitive integer accumulator and a chain of Points threaded through
    [y]; both are reachable from the ClusterShards global, so the census
    and the digest see exactly the applied-request history. *)
@@ -286,20 +287,6 @@ let restore_registers vm regs =
 
 (* --- checkpoints --- *)
 
-let dir_counter = ref 0
-
-let fresh_dir ?(base = Filename.get_temp_dir_name ()) () =
-  let rec go () =
-    incr dir_counter;
-    let d =
-      Filename.concat base (Printf.sprintf "mst-cluster-%d" !dir_counter)
-    in
-    if Sys.file_exists d then go () else d
-  in
-  let d = go () in
-  Sys.mkdir d 0o755;
-  d
-
 let ensure_dir d =
   if not (Sys.file_exists d) then begin
     let parent = Filename.dirname d in
@@ -415,7 +402,7 @@ let run ?(log = fun _ -> ()) (p : params) =
   validate p;
   let dir = match p.dir with
     | Some d -> ensure_dir d; d
-    | None -> fresh_dir ()
+    | None -> Filename.temp_dir "mst-cluster-" ""
   in
   (* the durable log: generate, save, and execute what was *re-read*, so
      every cluster run exercises the full durability round trip *)

@@ -321,75 +321,6 @@ let set_fault_injector vm inj = Machine.set_injector vm.machine inj
 
 let fault_injector vm = Machine.injector vm.machine
 
-(* --- spawning Smalltalk Processes from OCaml --- *)
-
-let do_scavenge_fwd : (t -> unit) ref =
-  ref (fun _ -> Fault.fatal ~vp:(-1) ~clock:0 "scavenge hook not yet installed")
-
-(* Allocate in new space; between engine runs every interpreter is at a
-   step boundary, so a scavenge may run right here when eden is full. *)
-let rec alloc_spawn vm ~slots ~cls =
-  match Heap.alloc_new vm.heap ~vp:0 ~slots ~raw:false ~cls () with
-  | o -> o
-  | exception Heap.Scavenge_needed ->
-      !do_scavenge_fwd vm;
-      alloc_spawn vm ~slots ~cls
-
-let spawn_method vm ~priority ~name meth =
-  let h = vm.heap in
-  let u = vm.u in
-  let n = u.Universe.nil in
-  let info = Oop.small_val (Heap.get h meth Layout.Method.info) in
-  let ntemps = Layout.Minfo.ntemps info in
-  let frame = Layout.Ctx.large_frame in
-  let ctx =
-    alloc_spawn vm ~slots:(Layout.Ctx.fixed_slots + frame)
-      ~cls:u.Universe.classes.Universe.method_context
-  in
-  let set i v = ignore (Heap.store_ptr h ctx i v) in
-  set Layout.Ctx.sender n;
-  Heap.set_raw h ctx Layout.Ctx.pc (Oop.of_small 0);
-  Heap.set_raw h ctx Layout.Ctx.stackp (Oop.of_small ntemps);
-  set Layout.Ctx.meth meth;
-  set Layout.Ctx.receiver n;
-  set Layout.Ctx.home n;
-  Heap.set_raw h ctx Layout.Ctx.startpc (Oop.of_small 0);
-  Heap.set_raw h ctx Layout.Ctx.argstart (Oop.of_small 0);
-  Heap.set_raw h ctx Layout.Ctx.nargs (Oop.of_small 0);
-  for i = 0 to ntemps - 1 do
-    set (Layout.Ctx.fixed_slots + i) n
-  done;
-  (* protect the context while the Process object is allocated *)
-  let ctx_cell = ref ctx in
-  Heap.add_root h ctx_cell;
-  let proc =
-    alloc_spawn vm ~slots:Layout.Process.fixed_slots
-      ~cls:u.Universe.classes.Universe.process
-  in
-  Heap.remove_root h ctx_cell;
-  let ctx = !ctx_cell in
-  (* [store_ptr] below may insert [proc] into the entry table without the
-     entry-table lock being taken or charged: spawning runs between engine
-     runs, when every interpreter is parked and the sanitizer is disarmed,
-     so the insert cannot race with any vp — and charging lock cycles here
-     would misattribute host-side setup work to the simulation. *)
-  let setp i v = ignore (Heap.store_ptr h proc i v) in
-  setp Layout.Process.next_link n;
-  setp Layout.Process.suspended_context ctx;
-  Heap.set_raw h proc Layout.Process.priority (Oop.of_small priority);
-  setp Layout.Process.my_list n;
-  setp Layout.Process.running_on n;
-  setp Layout.Process.name (Universe.new_string u name);
-  Heap.set_raw h proc Layout.Process.state
-    (Oop.of_small Layout.Process_state.runnable);
-  let now = Machine.max_clock vm.machine in
-  ignore (Scheduler.wake vm.shared.State.sched ~now proc);
-  proc
-
-let spawn vm ?(priority = 5) ?(name = "doIt") source =
-  let meth = Codegen.compile_do_it vm.u source in
-  spawn_method vm ~priority ~name meth
-
 (* --- the engine --- *)
 
 let do_scavenge vm =
@@ -493,8 +424,6 @@ let do_scavenge vm =
   vm.scavenge_pause_costs <- cost :: vm.scavenge_pause_costs;
   vm.gc_requested <- false;
   vm.shared.State.gc_wanted <- false
-
-let () = do_scavenge_fwd := do_scavenge
 
 (* One bounded slice of the incremental old-space collector (E18), run at
    a step boundary exactly like the scavenge rendezvous: every processor
@@ -982,6 +911,72 @@ let run ?(max_cycles = 100_000_000_000) ?watch vm =
    | Config.Engine_calendar ->
        run_calendar vm ~max_cycles ~finished ~result outcome);
   Option.get !outcome
+
+(* --- spawning Smalltalk Processes from OCaml --- *)
+
+(* Allocate in new space; between engine runs every interpreter is at a
+   step boundary, so a scavenge may run right here when eden is full. *)
+let rec alloc_spawn vm ~slots ~cls =
+  match Heap.alloc_new vm.heap ~vp:0 ~slots ~raw:false ~cls () with
+  | o -> o
+  | exception Heap.Scavenge_needed ->
+      do_scavenge vm;
+      alloc_spawn vm ~slots ~cls
+
+let spawn_method vm ~priority ~name meth =
+  let h = vm.heap in
+  let u = vm.u in
+  let n = u.Universe.nil in
+  let info = Oop.small_val (Heap.get h meth Layout.Method.info) in
+  let ntemps = Layout.Minfo.ntemps info in
+  let frame = Layout.Ctx.large_frame in
+  let ctx =
+    alloc_spawn vm ~slots:(Layout.Ctx.fixed_slots + frame)
+      ~cls:u.Universe.classes.Universe.method_context
+  in
+  let set i v = ignore (Heap.store_ptr h ctx i v) in
+  set Layout.Ctx.sender n;
+  Heap.set_raw h ctx Layout.Ctx.pc (Oop.of_small 0);
+  Heap.set_raw h ctx Layout.Ctx.stackp (Oop.of_small ntemps);
+  set Layout.Ctx.meth meth;
+  set Layout.Ctx.receiver n;
+  set Layout.Ctx.home n;
+  Heap.set_raw h ctx Layout.Ctx.startpc (Oop.of_small 0);
+  Heap.set_raw h ctx Layout.Ctx.argstart (Oop.of_small 0);
+  Heap.set_raw h ctx Layout.Ctx.nargs (Oop.of_small 0);
+  for i = 0 to ntemps - 1 do
+    set (Layout.Ctx.fixed_slots + i) n
+  done;
+  (* protect the context while the Process object is allocated *)
+  let ctx_cell = ref ctx in
+  Heap.add_root h ctx_cell;
+  let proc =
+    alloc_spawn vm ~slots:Layout.Process.fixed_slots
+      ~cls:u.Universe.classes.Universe.process
+  in
+  Heap.remove_root h ctx_cell;
+  let ctx = !ctx_cell in
+  (* [store_ptr] below may insert [proc] into the entry table without the
+     entry-table lock being taken or charged: spawning runs between engine
+     runs, when every interpreter is parked and the sanitizer is disarmed,
+     so the insert cannot race with any vp — and charging lock cycles here
+     would misattribute host-side setup work to the simulation. *)
+  let setp i v = ignore (Heap.store_ptr h proc i v) in
+  setp Layout.Process.next_link n;
+  setp Layout.Process.suspended_context ctx;
+  Heap.set_raw h proc Layout.Process.priority (Oop.of_small priority);
+  setp Layout.Process.my_list n;
+  setp Layout.Process.running_on n;
+  setp Layout.Process.name (Universe.new_string u name);
+  Heap.set_raw h proc Layout.Process.state
+    (Oop.of_small Layout.Process_state.runnable);
+  let now = Machine.max_clock vm.machine in
+  ignore (Scheduler.wake vm.shared.State.sched ~now proc);
+  proc
+
+let spawn vm ?(priority = 5) ?(name = "doIt") source =
+  let meth = Codegen.compile_do_it vm.u source in
+  spawn_method vm ~priority ~name meth
 
 (* --- convenience API --- *)
 

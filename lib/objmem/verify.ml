@@ -188,6 +188,12 @@ type census = {
   per_class : (int * int) list;  (* class key |-> reachable count *)
 }
 
+(* The census's seen set is a mark bitmap, one bit per heap word, cut
+   into pages of [2^page_bits] words that are allocated on first touch.
+   A census reaches a few thousand objects in a multi-megaword heap; a
+   flat bitmap would be allocated and zeroed whole on every call. *)
+let page_bits = 14
+
 (* The per-class key defaults to the class oop's address, which is stable
    across runs of one bootstrap but an accident of allocation order
    between different images.  E19 compares censuses across snapshot,
@@ -196,36 +202,76 @@ type census = {
    there pass [class_key] mapping each class oop to an identity derived
    from its name. *)
 let census ?(stop = fun _ -> false) ?class_key h ~roots =
-  let seen = Hashtbl.create 1024 in
-  let by_class = Hashtbl.create 64 in
+  let pages =
+    Array.make ((Array.length h.mem lsr page_bits) + 1) Bytes.empty
+  in
+  let page a =
+    let p = pages.(a lsr page_bits) in
+    if Bytes.length p > 0 then p
+    else begin
+      let p = Bytes.make (1 lsl (page_bits - 3)) '\000' in
+      pages.(a lsr page_bits) <- p;
+      p
+    end
+  in
+  (* per-class counts by class oop: the distinct classes are few, so a
+     linear search beats hashing; keys are applied once, at the end *)
+  let classes = ref [||] and counts = ref [||] and distinct = ref 0 in
+  let count cls =
+    let i = ref 0 in
+    while !i < !distinct && !classes.(!i) <> cls do
+      incr i
+    done;
+    if !i = !distinct then begin
+      if !i = Array.length !classes then begin
+        let grow a = Array.append a (Array.make (!i + 16) 0) in
+        classes := grow !classes;
+        counts := grow !counts
+      end;
+      !classes.(!i) <- cls;
+      incr distinct
+    end;
+    !counts.(!i) <- !counts.(!i) + 1
+  in
   let objects = ref 0 and words = ref 0 in
   let rec visit o =
-    if Oop.is_ptr o && not (Oop.equal o Oop.sentinel)
-       && not (Hashtbl.mem seen o) && not (stop o)
-    then begin
-      Hashtbl.add seen o ();
+    if Oop.is_ptr o && not (Oop.equal o Oop.sentinel) then begin
       let a = Oop.addr o in
-      incr objects;
-      words := !words + size_words h a;
-      let cls = class_at h a in
-      let key =
-        match class_key with
-        | Some f -> f cls
-        | None -> if Oop.is_ptr cls then Oop.addr cls else -1
-      in
-      Hashtbl.replace by_class key
-        (1 + Option.value ~default:0 (Hashtbl.find_opt by_class key));
-      visit cls;
-      let limit = Scavenger.scan_limit h a in
-      for i = 0 to limit - 1 do
-        visit h.mem.(a + Layout.header_words + i)
-      done
+      let p = page a in
+      let i = (a land ((1 lsl page_bits) - 1)) lsr 3 in
+      let bit = 1 lsl (a land 7) in
+      let byte = Char.code (Bytes.get p i) in
+      if byte land bit = 0 && not (stop o) then begin
+        Bytes.set p i (Char.unsafe_chr (byte lor bit));
+        incr objects;
+        words := !words + size_words h a;
+        let cls = class_at h a in
+        count cls;
+        visit cls;
+        let limit = Scavenger.scan_limit h a in
+        for i = 0 to limit - 1 do
+          visit h.mem.(a + Layout.header_words + i)
+        done
+      end
     end
   in
   List.iter visit roots;
+  (* keys applied once per distinct class; classes sharing a key (every
+     non-pointer class under the default key) sum into one entry *)
+  let key cls =
+    match class_key with
+    | Some f -> f cls
+    | None -> if Oop.is_ptr cls then Oop.addr cls else -1
+  in
+  let rec merge = function
+    | (k, n) :: (k', n') :: rest when k = k' -> merge ((k, n + n') :: rest)
+    | kn :: rest -> kn :: merge rest
+    | [] -> []
+  in
   let per_class =
-    List.sort compare
-      (Hashtbl.fold (fun cls n acc -> (cls, n) :: acc) by_class [])
+    merge
+      (List.sort compare
+         (List.init !distinct (fun i -> (key !classes.(i), !counts.(i)))))
   in
   { objects = !objects; words = !words; per_class }
 

@@ -305,10 +305,125 @@ let rset_invariant_prop =
       done;
       Verify.check h = [])
 
+(* --- property: the census against a hash-table reference --- *)
+
+(* The census as first written, with hash tables for the seen set and
+   the per-class counts: the oracle for the bitmap-marked one. *)
+let naive_census ?(stop = fun _ -> false) ?class_key h ~roots =
+  let seen = Hashtbl.create 1024 in
+  let by_class = Hashtbl.create 64 in
+  let objects = ref 0 and words = ref 0 in
+  let rec visit o =
+    if Oop.is_ptr o && not (Oop.equal o Oop.sentinel)
+       && not (Hashtbl.mem seen o) && not (stop o)
+    then begin
+      Hashtbl.add seen o ();
+      let a = Oop.addr o in
+      incr objects;
+      words := !words + Heap.size_words h a;
+      let cls = Heap.class_at h a in
+      let key =
+        match class_key with
+        | Some f -> f cls
+        | None -> if Oop.is_ptr cls then Oop.addr cls else -1
+      in
+      Hashtbl.replace by_class key
+        (1 + Option.value ~default:0 (Hashtbl.find_opt by_class key));
+      visit cls;
+      let limit = Scavenger.scan_limit h a in
+      for i = 0 to limit - 1 do
+        visit h.Heap.mem.(a + Layout.header_words + i)
+      done
+    end
+  in
+  List.iter visit roots;
+  let per_class =
+    List.sort compare
+      (Hashtbl.fold (fun cls n acc -> (cls, n) :: acc) by_class [])
+  in
+  { Verify.objects = !objects; words = !words; per_class }
+
+(* A random graph over six classes (some themselves instances of an
+   earlier class), spanning old and new space and several bitmap pages,
+   with a raw object whose words look like pointers; random roots, a
+   random [stop] (none, by address, or by class) and a [class_key] that
+   folds the six classes onto three keys, or the default key. *)
+let census_oracle_prop =
+  QCheck.Test.make ~name:"census equals a hash-table reference census"
+    ~count:100 Testkit.graph_arb
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let pick a = a.(Random.State.int rng (Array.length a)) in
+      let h, cls, _ = make_heap ~eden:8192 ~survivor:4096 ~old:65536 () in
+      let classes =
+        Array.init 6 (fun i ->
+            if i = 0 then cls
+            else Heap.alloc_old h ~slots:0 ~raw:false ~cls:Oop.sentinel ())
+      in
+      Array.iteri
+        (fun i c ->
+          if i > 0 && Random.State.bool rng then
+            Heap.set_class h (Oop.addr c) classes.(Random.State.int rng i))
+        classes;
+      let objs = Testkit.build_graph h cls rng ~n ~processors:1 in
+      let raw = Heap.alloc_new h ~vp:0 ~slots:2 ~raw:true ~cls () in
+      Heap.set_raw h raw 0 (pick objs);
+      Heap.set_raw h raw 1 (pick classes);
+      (* a chain of old holders, each 2^k words after the previous one
+         (a raw spacer fills the gap): a census that confuses two
+         positions of its bitmap misses one of the pair *)
+      let prev = ref (pick objs) in
+      let olds =
+        Array.init (1 + Random.State.int rng 4) (fun i ->
+            if i > 0 then begin
+              let gap = 1 lsl (3 + Random.State.int rng 12) in
+              ignore
+                (Heap.alloc_old h ~slots:(gap - 7) ~raw:true ~cls ())
+            end;
+            let o = Heap.alloc_old h ~slots:3 ~raw:false ~cls () in
+            ignore (Heap.store_ptr h o 0 (pick objs));
+            ignore (Heap.store_ptr h o 1 !prev);
+            ignore (Heap.store_ptr h o 2 raw);
+            prev := o;
+            o)
+      in
+      Array.iter
+        (fun o -> Heap.set_class h (Oop.addr o) (pick classes))
+        (Array.append objs olds);
+      let roots =
+        Array.init (1 + Random.State.int rng 4) (fun _ ->
+            match Random.State.int rng 4 with
+            | 0 -> pick olds
+            | 1 -> Oop.of_small (Random.State.int rng 100)
+            | _ -> pick objs)
+      in
+      Heap.add_array_root h roots;
+      if Random.State.bool rng then ignore (Scavenger.scavenge h);
+      let stop =
+        match Random.State.int rng 3 with
+        | 0 -> None
+        | 1 ->
+            let m = 2 + Random.State.int rng 5 in
+            Some (fun o -> Oop.addr o mod m = 0)
+        | _ ->
+            let c = pick classes in
+            Some (fun o -> Oop.equal (Heap.class_at h (Oop.addr o)) c)
+      in
+      let class_key =
+        if Random.State.bool rng then None
+        else
+          let salt = 1 + Random.State.int rng 7 in
+          Some (fun c -> Oop.addr c * salt mod 3)
+      in
+      let roots = Array.to_list roots in
+      Verify.census ?stop ?class_key h ~roots
+      = naive_census ?stop ?class_key h ~roots)
+
 let () =
   let qtests =
     List.map QCheck_alcotest.to_alcotest
-      [ oop_roundtrip_prop; graph_survival_prop; rset_invariant_prop ]
+      [ oop_roundtrip_prop; graph_survival_prop; rset_invariant_prop;
+        census_oracle_prop ]
   in
   Alcotest.run "objmem"
     [ ("oop", [ Alcotest.test_case "tags" `Quick test_oop_tags ]);

@@ -75,6 +75,29 @@ let test_snapshot_restore_census_identical () =
   check "fingerprint reproduced after restore" fp
     (Replica.fingerprint_of fresh.Replica.vm)
 
+(* Exact replica fingerprints of a fresh node and after each wave of
+   log seed 7, recorded when the census still used hash tables for its
+   seen set and per-class counts.  A host-side change to the census, the
+   class keys or the shard digest must leave every one of them as is. *)
+let test_pinned_fingerprints () =
+  let node = Replica.build_node ~slots:3 ~shards:4 in
+  check "after build_node" 2251507573496006380
+    (Replica.fingerprint_of node.Replica.vm);
+  let waves = Cmdlog.schedule ~slots:3 (entries_for ~seed:7 ~requests:10) in
+  let after_waves =
+    List.fold_left
+      (fun acc w ->
+        Replica.apply_wave node w;
+        Replica.fingerprint_of node.Replica.vm :: acc)
+      [] waves
+  in
+  Alcotest.(check (list int))
+    "after each wave"
+    [ 1834798220212153712; 41175727630924060; 2799315211313081820;
+      2009374568888152622; 3412988601162411552; 2078850008684733683;
+      3586808285980702593 ]
+    (List.rev after_waves)
+
 (* The restored machine is not a museum piece: it must keep executing.
    Apply the same next wave to the original and the restored copy and
    require identical fingerprints again. *)
@@ -376,6 +399,8 @@ let () =
     [ ("snapshot",
        [ Alcotest.test_case "restore reproduces the census bit for bit"
            `Quick test_snapshot_restore_census_identical;
+         Alcotest.test_case "pinned fingerprints" `Quick
+           test_pinned_fingerprints;
          Alcotest.test_case "restored machine keeps executing" `Quick
            test_restored_machine_keeps_executing;
          Alcotest.test_case "loader rejects empty/truncated/unparseable"
