@@ -455,60 +455,7 @@ let run_micro () =
     "| i | i := 0. [i < 20000] whileTrue: [i := i + 1]";
   measure "send-heavy (printString loop)" "1 to: 800 do: [:i | i printString]";
   measure "allocation-heavy (Array new: 8 loop)"
-    "1 to: 4000 do: [:i | Array new: 8]";
-  (* real time of the simulator itself, via bechamel *)
-  let open Bechamel in
-  let open Toolkit in
-  Format.fprintf fmt "@.Real (host) time of simulator internals:@.";
-  let heap_for_alloc =
-    Heap.create ~old_words:4096 ~eden_words:262144 ~survivor_words:4096 ()
-  in
-  let cls =
-    Heap.alloc_old heap_for_alloc ~slots:0 ~raw:false ~cls:Oop.sentinel ()
-  in
-  let counter = ref 0 in
-  let lock = Spinlock.make ~enabled:true ~cost:Cost_model.firefly "bench" in
-  let eval_vm = Vm.create (Config.testing ()) in
-  let tests =
-    [ Test.make ~name:"oop tag/untag"
-        (Staged.stage (fun () -> Oop.small_val (Oop.of_small 42)));
-      Test.make ~name:"opcode decode"
-        (Staged.stage (fun () ->
-             Opcode.tag (Opcode.encode (Opcode.Push_temp 3))));
-      Test.make ~name:"heap alloc (8 slots)"
-        (Staged.stage (fun () ->
-             if Heap.eden_avail heap_for_alloc ~vp:0 < 64 then
-               ignore (Scavenger.scavenge heap_for_alloc);
-             ignore
-               (Heap.alloc_new heap_for_alloc ~vp:0 ~slots:8 ~raw:false ~cls ())));
-      Test.make ~name:"spinlock locked_op"
-        (Staged.stage (fun () ->
-             counter := !counter + 100;
-             ignore (Spinlock.locked_op lock ~now:!counter ~op_cycles:10)));
-      Test.make ~name:"eval '3 + 4'"
-        (Staged.stage (fun () -> ignore (Vm.eval eval_vm "3 + 4")));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"simulator" ~fmt:"%s %s" tests in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~stabilize:true ~quota:(Time.second 0.5) ()
-  in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name r acc -> (name, r) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter
-    (fun (name, r) ->
-      match Analyze.OLS.estimates r with
-      | Some [ est ] -> Format.fprintf fmt "  %-44s %12.1f ns/run@." name est
-      | Some _ | None -> Format.fprintf fmt "  %-44s (no estimate)@." name)
-    rows
+    "1 to: 4000 do: [:i | Array new: 8]"
 
 (* --- driver --- *)
 

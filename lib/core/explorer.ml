@@ -329,6 +329,24 @@ let check ~reference o =
         | Some _, None -> Some "run died without an error"
       end
 
+(* Shrink a failing schedule under the oracle, then confirm the result
+   with one more replay, which also refreshes the failure description
+   (it may have changed while shrinking), and log it after [label].
+   Returns the shrunk schedule, the replays spent shrinking, the
+   description and whether the confirming replay still failed. *)
+let shrink_confirmed setup ~reference ~budget ~log ~label ~what sched =
+  let fails s = check ~reference (run_schedule setup s) <> None in
+  let shrunk, probes = Explore.shrink ~run:fails ~budget sched in
+  let what, reproduces =
+    match check ~reference (run_schedule setup shrunk) with
+    | Some w -> (w, true)
+    | None -> (what, false)
+  in
+  log
+    (Printf.sprintf "%sshrunk to %d decision(s) in %d replay(s): %s" label
+       (List.length shrunk) probes what);
+  (shrunk, probes, what, reproduces)
+
 type counterexample = {
   seed : int;
   what : string;
@@ -370,23 +388,10 @@ let explore ?params ?(shrink_budget = 120) ?(first_seed = 0)
           (Printf.sprintf
              "seed %d fails after %d queries (%d perturbed): %s" seed
              o.queries (List.length o.schedule) what);
-        let fails sched =
-          check ~reference:ref_outcome (run_schedule setup sched) <> None
+        let shrunk, probes, what, reproduces =
+          shrink_confirmed setup ~reference:ref_outcome ~budget:shrink_budget
+            ~log ~label:"  " ~what o.schedule
         in
-        let shrunk, probes =
-          Explore.shrink ~run:fails ~budget:shrink_budget o.schedule
-        in
-        (* the confirming replay also refreshes the failure description,
-           which may have changed while shrinking *)
-        let replayed = run_schedule setup shrunk in
-        let what, reproduces =
-          match check ~reference:ref_outcome replayed with
-          | Some w -> (w, true)
-          | None -> (what, false)
-        in
-        log
-          (Printf.sprintf "  shrunk to %d decision(s) in %d replay(s): %s"
-             (List.length shrunk) probes what);
         counterexamples :=
           { seed; what; original = o.schedule; shrunk; probes; reproduces }
           :: !counterexamples
@@ -455,22 +460,10 @@ let dpor ?mode ?max_branch ?max_flips ?budget ?defers ?preempts
     match result.Explore.Dpor.failures with
     | [] -> None
     | (sched, what) :: _ ->
-        let fails s =
-          check ~reference:ref_outcome (run_schedule setup s) <> None
+        let shrunk, probes, what, reproduces =
+          shrink_confirmed setup ~reference:ref_outcome ~budget:shrink_budget
+            ~log ~label:"first failure " ~what sched
         in
-        let shrunk, probes =
-          Explore.shrink ~run:fails ~budget:shrink_budget sched
-        in
-        let replayed = run_schedule setup shrunk in
-        let what, reproduces =
-          match check ~reference:ref_outcome replayed with
-          | Some w -> (w, true)
-          | None -> (what, false)
-        in
-        log
-          (Printf.sprintf "first failure shrunk to %d decision(s) in %d \
-                           replay(s): %s"
-             (List.length shrunk) probes what);
         Some
           { dpor_what = what;
             dpor_original = sched;

@@ -25,10 +25,12 @@
        len=<payload bytes> sum=<payload checksum>
 
    followed by a marshalled payload.  The header carries enough to pick
-   the newest usable checkpoint without unmarshalling; the length and
-   FNV-1a checksum make truncation and bit-rot detectable before
-   [Marshal] ever runs; and the payload repeats the fingerprint/entry
-   pair so a swapped payload cannot hide behind a valid header.  Every
+   the newest usable checkpoint without unmarshalling; and the length
+   and FNV-1a checksum make truncation and bit-rot detectable before
+   [Marshal] ever runs.  The payload is only the heap and registers, so
+   a header whose fingerprint does not describe its payload is caught
+   after restore: the rejoin in [Replica.run] recomputes the fingerprint,
+   compares it with the header's and falls back on a mismatch.  Every
    rejection raises the structured {!Corrupt} — a checkpoint that cannot
    be proven whole is never restored (the caller falls back to the
    previous one). *)

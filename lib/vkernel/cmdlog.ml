@@ -143,14 +143,14 @@ let generate ~seed ~requests ~sessions ~shards =
   if requests < 1 then invalid_arg "Cmdlog.generate: requests must be >= 1";
   if sessions < 1 || shards < 1 then
     invalid_arg "Cmdlog.generate: sessions and shards must be >= 1";
-  let rng = Fault.Rng.make seed in
+  let rng = Sparse.Rng.make seed in
   let t = create () in
   for _ = 1 to requests do
     ignore
       (append t
-         ~session:(Fault.Rng.below rng sessions)
-         ~shard:(Fault.Rng.below rng shards)
-         ~kind:(Fault.Rng.below rng 4))
+         ~session:(Sparse.Rng.below rng sessions)
+         ~shard:(Sparse.Rng.below rng shards)
+         ~kind:(Sparse.Rng.below rng 4))
   done;
   t
 

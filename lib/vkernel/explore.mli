@@ -98,7 +98,7 @@ val shrink :
 
 val save : string -> schedule -> unit
 
-(** Raises [Failure] on a malformed file. *)
+(** Raises [Failure] on a malformed or unreadable file. *)
 val load : string -> schedule
 
 (** {!load} for replay: additionally raises [Failure] when the file holds

@@ -6,8 +6,8 @@
    injection queries — one per instrumentation point reached — and a
    seeded injector samples a fault at a few of them.  The faults actually
    applied are recorded as a sparse *fault plan* [(query index, fault)],
-   which can be replayed bit for bit and shrunk with the same delta
-   debugging the decision traces use.  Because fault queries are counted
+   which can be replayed bit for bit and shrunk by the same {!Sparse}
+   code the decision traces use.  Because fault queries are counted
    separately from scheduling-policy queries, a fault plan composes with
    an {!Explore} schedule: the two drivers perturb the same run without
    renumbering each other's indices.
@@ -17,29 +17,6 @@
    a scavenge with one live worker refuses to lose it), and declined
    samples never enter the plan, so a replay re-applies exactly the
    faults the seeded run committed. *)
-
-(* --- the shared PRNG ---
-
-   The same splitmix64-style generator {!Explore} uses (it now aliases
-   this one): Stdlib.Random's stream is not guaranteed stable across
-   compiler releases, and seeded runs must reproduce forever. *)
-module Rng = struct
-  type t = { mutable state : int }
-
-  let make seed = { state = (seed * 0x9E3779B9) + 0x1F123BB5 }
-
-  (* The 64-bit splitmix constants, truncated to OCaml's boxed-free int
-     width; mixing quality is ample for sampling perturbations. *)
-  let next r =
-    r.state <- r.state + 0x1E3779B97F4A7C15;
-    let z = r.state in
-    let z = (z lxor (z lsr 30)) * 0x3F58476D1CE4E5B9 in
-    let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
-    (z lxor (z lsr 31)) land max_int
-
-  let below r n = if n <= 1 then 0 else next r mod n
-  let chance r permil = below r 1000 < permil
-end
 
 (* A release time far enough in the future that no simulated clock ever
    reaches it: the timeline encoding of "held by a dead processor". *)
@@ -58,6 +35,56 @@ type fault =
 type step = { index : int; fault : fault }
 
 type plan = step list
+
+(* Fault plans as a {!Sparse} plan: the replay cursor, fingerprint,
+   shrinker and plan files. *)
+include Sparse.Make (struct
+  type value = fault
+  type nonrec step = step
+
+  let index s = s.index
+  let value s = s.fault
+  let make index fault = { index; fault }
+
+  (* halve the surviving durations *)
+  let smaller = function
+    | Vp_stall n when n > 1 -> Some (Vp_stall (n / 2))
+    | Holder_stall n when n > 1 -> Some (Holder_stall (n / 2))
+    | Device_timeout n when n > 1 -> Some (Device_timeout (n / 2))
+    | _ -> None
+
+  let code = function
+    | Vp_crash -> 1
+    | Vp_stall n -> (n lsl 3) lor 2
+    | Holder_stall n -> (n lsl 3) lor 3
+    | Holder_crash -> 4
+    | Device_timeout n -> (n lsl 3) lor 5
+    | Worker_crash k -> (k lsl 3) lor 6
+    | Replica_crash k -> (k lsl 3) lor 7
+
+  let print = function
+    | Vp_crash -> ("crash", None)
+    | Vp_stall n -> ("stall", Some n)
+    | Holder_stall n -> ("holdstall", Some n)
+    | Holder_crash -> ("holdcrash", None)
+    | Device_timeout n -> ("timeout", Some n)
+    | Worker_crash k -> ("workercrash", Some k)
+    | Replica_crash k -> ("replicacrash", Some k)
+
+  let parse = function
+    | "crash", None -> Some Vp_crash
+    | "stall", Some n -> Some (Vp_stall n)
+    | "holdstall", Some n -> Some (Holder_stall n)
+    | "holdcrash", None -> Some Holder_crash
+    | "timeout", Some n -> Some (Device_timeout n)
+    | "workercrash", Some k -> Some (Worker_crash k)
+    | "replicacrash", Some k -> Some (Replica_crash k)
+    | _ -> None
+
+  let noun = "fault"
+  let file = "plan"
+  let point = "injection-point"
+end)
 
 (* Which instrumentation point is asking.  Each fault kind belongs to one
    point; a replayed fault of the wrong kind for its query is dropped
@@ -148,52 +175,39 @@ let default_params = params_of_campaign Mixed
 
 (* --- injectors --- *)
 
-type mode =
-  | Seeded of Rng.t * params
-  | Replay of step array * int ref  (* cursor into the sorted steps *)
+type mode = Seeded of Sparse.Rng.t * params | Replay of cursor
 
 type t = {
   mode : mode;
   trace : Trace.t option;
   mutable queries : int;
-  mutable last_index : int;     (* pre-increment index of the last query *)
   mutable injected_count : int;
   mutable rev_injected : step list;
-  (* per-kind counts of honoured faults, for campaign reports *)
-  mutable crashes : int;
-  mutable stalls : int;
-  mutable holder_stalls : int;
-  mutable holder_crashes : int;
-  mutable device_timeouts : int;
-  mutable worker_crashes : int;
-  mutable replica_crashes : int;
 }
 
 let injector mode trace =
-  { mode; trace; queries = 0; last_index = -1; injected_count = 0;
-    rev_injected = []; crashes = 0; stalls = 0; holder_stalls = 0;
-    holder_crashes = 0; device_timeouts = 0; worker_crashes = 0;
-    replica_crashes = 0 }
+  { mode; trace; queries = 0; injected_count = 0; rev_injected = [] }
 
 let seeded ?(params = default_params) ?trace ~seed () =
-  injector (Seeded (Rng.make seed, params)) trace
+  injector (Seeded (Sparse.Rng.make seed, params)) trace
 
-let replay ?trace plan =
-  let steps =
-    Array.of_list (List.sort (fun a b -> compare a.index b.index) plan)
-  in
-  injector (Replay (steps, ref 0)) trace
+let replay ?trace plan = injector (Replay (cursor plan)) trace
 
 let injected t = List.rev t.rev_injected
 let injected_count t = t.injected_count
 let queries t = t.queries
-let crashes t = t.crashes
-let stalls t = t.stalls
-let holder_stalls t = t.holder_stalls
-let holder_crashes t = t.holder_crashes
-let device_timeouts t = t.device_timeouts
-let worker_crashes t = t.worker_crashes
-let replica_crashes t = t.replica_crashes
+
+(* per-kind counts of honoured faults, for campaign reports *)
+let count t kind =
+  List.length (List.filter (fun s -> kind s.fault) t.rev_injected)
+
+let crashes t = count t (( = ) Vp_crash)
+let stalls t = count t (function Vp_stall _ -> true | _ -> false)
+let holder_stalls t = count t (function Holder_stall _ -> true | _ -> false)
+let holder_crashes t = count t (( = ) Holder_crash)
+let device_timeouts t = count t (function Device_timeout _ -> true | _ -> false)
+let worker_crashes t = count t (function Worker_crash _ -> true | _ -> false)
+let replica_crashes t = count t (function Replica_crash _ -> true | _ -> false)
 
 let describe = function
   | Vp_crash -> "vp crash"
@@ -206,6 +220,7 @@ let describe = function
 
 (* Sample a fault for one query of [point] from the seed. *)
 let gen_at point rng p =
+  let open Sparse in
   match point with
   | Sched_check ->
       if Rng.chance rng p.crash_permil then Some Vp_crash
@@ -238,38 +253,25 @@ let gen_at point rng p =
 let at t point =
   let q = t.queries in
   t.queries <- q + 1;
-  t.last_index <- q;
   match t.mode with
   | Seeded (rng, p) ->
       if t.injected_count >= p.max_faults then None else gen_at point rng p
-  | Replay (steps, cursor) ->
-      let n = Array.length steps in
-      while !cursor < n && steps.(!cursor).index < q do incr cursor done;
-      if !cursor < n && steps.(!cursor).index = q then begin
-        let s = steps.(!cursor) in
-        incr cursor;
-        if matches_point point s.fault then Some s.fault else None
-      end
-      else None
+  | Replay cursor -> (
+      match next cursor q with
+      | Some s when matches_point point s.fault -> Some s.fault
+      | _ -> None)
 
 (* Record a fault the caller actually honoured, at the query index of the
-   query that produced it. *)
+   query that produced it: the last one {!at} answered. *)
 let applied t ~vp ~now ~resource fault =
-  t.rev_injected <- { index = t.last_index; fault } :: t.rev_injected;
+  let index = t.queries - 1 in
+  t.rev_injected <- { index; fault } :: t.rev_injected;
   t.injected_count <- t.injected_count + 1;
-  (match fault with
-   | Vp_crash -> t.crashes <- t.crashes + 1
-   | Vp_stall _ -> t.stalls <- t.stalls + 1
-   | Holder_stall _ -> t.holder_stalls <- t.holder_stalls + 1
-   | Holder_crash -> t.holder_crashes <- t.holder_crashes + 1
-   | Device_timeout _ -> t.device_timeouts <- t.device_timeouts + 1
-   | Worker_crash _ -> t.worker_crashes <- t.worker_crashes + 1
-   | Replica_crash _ -> t.replica_crashes <- t.replica_crashes + 1);
   match t.trace with
   | None -> ()
   | Some tr ->
       Trace.record tr ~vp ~time:now ~kind:Trace.Fault_event ~resource
-        ~detail:(Printf.sprintf "#%d %s" t.last_index (describe fault))
+        ~detail:(Printf.sprintf "#%d %s" index (describe fault))
 
 (* --- structured failure reports --- *)
 
@@ -322,169 +324,3 @@ let () =
     | Deadlock_suspected r -> Some (describe_deadlock r)
     | Fatal i -> Some (describe_fatal i)
     | _ -> None)
-
-(* --- plan utilities --- *)
-
-let fingerprint plan =
-  List.fold_left
-    (fun h { index; fault } ->
-      let d =
-        match fault with
-        | Vp_crash -> 1
-        | Vp_stall n -> (n lsl 3) lor 2
-        | Holder_stall n -> (n lsl 3) lor 3
-        | Holder_crash -> 4
-        | Device_timeout n -> (n lsl 3) lor 5
-        | Worker_crash k -> (k lsl 3) lor 6
-        | Replica_crash k -> (k lsl 3) lor 7
-      in
-      let h = (h * 0x01000193) lxor index in
-      ((h * 0x01000193) lxor d) land max_int)
-    0x811C9DC5 plan
-
-(* Delta-debug a failing plan to a minimal one, exactly as
-   {!Explore.shrink} does for decision traces: drop chunks, halving the
-   chunk size, then halve the surviving durations.  [run] replays a
-   candidate plan and reports whether it still fails. *)
-let shrink ~run ?(budget = 200) plan =
-  let spent = ref 0 in
-  let try_run s =
-    if !spent >= budget then false
-    else begin
-      incr spent;
-      run s
-    end
-  in
-  let drop_chunks current =
-    let current = ref current in
-    let chunk = ref (max 1 (List.length !current / 2)) in
-    let progress = ref true in
-    while !chunk >= 1 && !spent < budget do
-      progress := false;
-      let arr = Array.of_list !current in
-      let n = Array.length arr in
-      let pos = ref 0 in
-      while !pos < n && !spent < budget do
-        let keep = ref [] in
-        Array.iteri
-          (fun i s -> if i < !pos || i >= !pos + !chunk then keep := s :: !keep)
-          arr;
-        let candidate = List.rev !keep in
-        if List.length candidate < n && try_run candidate then begin
-          current := candidate;
-          progress := true;
-          pos := n
-        end
-        else pos := !pos + !chunk
-      done;
-      if !progress then chunk := max 1 (min !chunk (List.length !current))
-      else if !chunk = 1 then chunk := 0
-      else chunk := !chunk / 2
-    done;
-    !current
-  in
-  let shrink_values current =
-    let smaller = function
-      | Vp_stall n when n > 1 -> Some (Vp_stall (n / 2))
-      | Holder_stall n when n > 1 -> Some (Holder_stall (n / 2))
-      | Device_timeout n when n > 1 -> Some (Device_timeout (n / 2))
-      | _ -> None
-    in
-    let current = ref current in
-    let again = ref true in
-    while !again && !spent < budget do
-      again := false;
-      List.iteri
-        (fun i s ->
-          match smaller s.fault with
-          | None -> ()
-          | Some f ->
-              let candidate =
-                List.mapi
-                  (fun j s' -> if j = i then { s' with fault = f } else s')
-                  !current
-              in
-              if try_run candidate then begin
-                current := candidate;
-                again := true
-              end)
-        !current
-    done;
-    !current
-  in
-  let result = shrink_values (drop_chunks plan) in
-  (result, !spent)
-
-(* --- fault-plan files --- *)
-
-let pp fmt plan =
-  List.iter
-    (fun { index; fault } ->
-      match fault with
-      | Vp_crash -> Format.fprintf fmt "crash %d@." index
-      | Vp_stall n -> Format.fprintf fmt "stall %d %d@." index n
-      | Holder_stall n -> Format.fprintf fmt "holdstall %d %d@." index n
-      | Holder_crash -> Format.fprintf fmt "holdcrash %d@." index
-      | Device_timeout n -> Format.fprintf fmt "timeout %d %d@." index n
-      | Worker_crash k -> Format.fprintf fmt "workercrash %d %d@." index k
-      | Replica_crash k -> Format.fprintf fmt "replicacrash %d %d@." index k)
-    plan
-
-let save path plan =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "# mst fault plan v1\n";
-      output_string oc
-        (Printf.sprintf "# %d fault(s); index = injection-point number\n"
-           (List.length plan));
-      let fmt = Format.formatter_of_out_channel oc in
-      pp fmt plan;
-      Format.pp_print_flush fmt ())
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let steps = ref [] in
-      let lineno = ref 0 in
-      (try
-         while true do
-           let line = String.trim (input_line ic) in
-           incr lineno;
-           if line <> "" && line.[0] <> '#' then begin
-             let bad () =
-               failwith
-                 (Printf.sprintf "%s:%d: malformed fault %S" path !lineno line)
-             in
-             let nat s = match int_of_string_opt s with
-               | Some n when n >= 0 -> n
-               | _ -> bad ()
-             in
-             let add index fault = steps := { index; fault } :: !steps in
-             match String.split_on_char ' ' line with
-             | [ "crash"; i ] -> add (nat i) Vp_crash
-             | [ "stall"; i; n ] -> add (nat i) (Vp_stall (nat n))
-             | [ "holdstall"; i; n ] -> add (nat i) (Holder_stall (nat n))
-             | [ "holdcrash"; i ] -> add (nat i) Holder_crash
-             | [ "timeout"; i; n ] -> add (nat i) (Device_timeout (nat n))
-             | [ "workercrash"; i; k ] -> add (nat i) (Worker_crash (nat k))
-             | [ "replicacrash"; i; k ] -> add (nat i) (Replica_crash (nat k))
-             | _ -> bad ()
-           end
-         done
-       with End_of_file -> ());
-      List.sort (fun a b -> compare a.index b.index) !steps)
-
-(* [load] for a --replay invocation: an empty (or comment-only) plan
-   would silently run an unperturbed schedule and report success for a
-   file that injects nothing — reject it instead. *)
-let load_replay path =
-  match load path with
-  | [] ->
-      failwith
-        (Printf.sprintf
-           "%s: no faults to replay (empty or comment-only plan)" path)
-  | plan -> plan

@@ -3,26 +3,10 @@
     Faults — processor crashes, stalls, lock-holder failures, device
     timeouts, scavenge-worker deaths — are sampled at the same
     instrumentation points the schedule explorer drives, recorded as a
-    sparse replayable plan, and shrunk with the same delta debugging
-    {!Explore} uses for decision traces.  Fault queries are counted
+    sparse replayable plan, and shrunk by the same {!Sparse} delta
+    debugging {!Explore} uses for decision traces.  Fault queries are counted
     independently of policy queries, so a fault plan composes with an
     {!Explore} schedule without renumbering. *)
-
-(** The splitmix64-style PRNG shared with {!Explore} (which aliases this
-    module): seeded runs must reproduce forever, so the stream must not
-    depend on [Stdlib.Random]. *)
-module Rng : sig
-  type t
-
-  val make : int -> t
-  val next : t -> int
-
-  (** [below r n] is uniform in [\[0, n)]; 0 when [n <= 1]. *)
-  val below : t -> int -> int
-
-  (** [chance r permil] is true with probability [permil]/1000. *)
-  val chance : t -> int -> bool
-end
 
 (** A release time no simulated clock ever reaches: the timeline
     encoding of "held by a dead processor". *)
@@ -150,6 +134,7 @@ val pp : Format.formatter -> plan -> unit
 (** Write/read a fault plan file ("# mst fault plan v1"). *)
 val save : string -> plan -> unit
 
+(** Raises [Failure] on a malformed or unreadable file. *)
 val load : string -> plan
 
 (** {!load} for replay: additionally raises [Failure] when the file holds

@@ -143,9 +143,16 @@ let test_load_rejects_garbage () =
       let oc = open_out file in
       output_string oc "# comment\ntie 3 1\nwibble 4\n";
       close_out oc;
-      match Explore.load file with
-      | _ -> Alcotest.fail "expected Failure on a malformed line"
-      | exception Failure _ -> ())
+      (match Explore.load file with
+       | _ -> Alcotest.fail "expected Failure on a malformed line"
+       | exception Failure _ -> ());
+      (* a directory opens but cannot be read: still a Failure naming it *)
+      let dir = Filename.dirname file in
+      match Explore.load dir with
+      | _ -> Alcotest.fail "expected Failure on a directory"
+      | exception Failure msg ->
+          check_bool "the message names the path" true
+            (String.starts_with ~prefix:(dir ^ ": ") msg))
 
 (* An empty (or comment-only) trace is a legal file, but replaying it
    would silently run the unperturbed schedule — load_replay must refuse
@@ -205,6 +212,104 @@ let test_shrink_synthetic () =
           check_bool "jitter shrunk below twice the threshold" true (j < 20)
       | _ -> ())
     shrunk
+
+(* A random monotone failure: the run fails iff, for each of 1-3
+   required steps, the schedule still holds a step at that index with
+   that decision kind and a value at or above the step's threshold.
+   Whenever shrinking ends with budget to spare, the result must be
+   1-minimal: it still fails, and dropping any single step or halving any
+   halvable value makes it pass. *)
+let shrink_minimal_prop =
+  let open QCheck in
+  let gen =
+    Gen.(
+      triple
+        (map
+           (fun l -> List.sort_uniq (fun (a, _) (b, _) -> compare a b) l)
+           (list_size (int_range 1 40)
+              (pair (int_range 0 200)
+                 (oneof
+                    [ map (fun k -> Explore.Tie_pick k) (int_range 0 9);
+                      map (fun j -> Explore.Lock_jitter j) (int_range 0 500);
+                      return Explore.Force_preempt ]))))
+        (list_size (int_range 1 3) (pair nat (int_range 0 100)))
+        (int_range 1 300))
+  in
+  let print (steps, req, budget) =
+    Format.asprintf "%arequired %s, budget %d" Explore.pp
+      (List.map (fun (index, decision) -> { Explore.index; decision }) steps)
+      (String.concat ";"
+         (List.map (fun (p, t) -> Printf.sprintf "%d@%d%%" p t) req))
+      budget
+  in
+  Test.make ~count:300 ~name:"shrink results are 1-minimal"
+    (make ~print gen)
+    (fun (steps, req, budget) ->
+      let sched =
+        List.map (fun (index, decision) -> { Explore.index; decision }) steps
+      in
+      let value = function
+        | Explore.Tie_pick k -> k
+        | Explore.Lock_jitter j -> j
+        | Explore.Force_preempt -> 0
+      in
+      let same_kind a b =
+        match (a, b) with
+        | Explore.Tie_pick _, Explore.Tie_pick _
+        | Explore.Lock_jitter _, Explore.Lock_jitter _
+        | Explore.Force_preempt, Explore.Force_preempt -> true
+        | _ -> false
+      in
+      let required =
+        List.map
+          (fun (p, pct) ->
+            let s = List.nth sched (p mod List.length sched) in
+            (s, value s.Explore.decision * pct / 100))
+          req
+      in
+      let fails sched =
+        List.for_all
+          (fun (r, threshold) ->
+            List.exists
+              (fun s ->
+                s.Explore.index = r.Explore.index
+                && same_kind s.Explore.decision r.Explore.decision
+                && value s.Explore.decision >= threshold)
+              sched)
+          required
+      in
+      let halved = function
+        | Explore.Tie_pick k when k > 1 -> Some (Explore.Tie_pick (k / 2))
+        | Explore.Lock_jitter j when j > 1 ->
+            Some (Explore.Lock_jitter (j / 2))
+        | _ -> None
+      in
+      let shrunk, probes = Explore.shrink ~run:fails ~budget sched in
+      probes <= budget
+      && (probes = budget
+         || fails shrunk
+            && List.for_all
+                 (fun s ->
+                   not
+                     (fails
+                        (List.filter
+                           (fun s' -> s'.Explore.index <> s.Explore.index)
+                           shrunk)))
+                 shrunk
+            && List.for_all
+                 (fun s ->
+                   match halved s.Explore.decision with
+                   | None -> true
+                   | Some d ->
+                       not
+                         (fails
+                            (List.map
+                               (fun s' ->
+                                 if s'.Explore.index = s.Explore.index then
+                                   { s with Explore.decision = d }
+                                 else s')
+                               shrunk)))
+                 shrunk))
 
 let test_shrink_budget_respected () =
   let fails _ = true in
@@ -455,7 +560,8 @@ let () =
        :: qtests);
       ("shrink",
        [ Alcotest.test_case "synthetic failure" `Quick test_shrink_synthetic;
-         Alcotest.test_case "budget" `Quick test_shrink_budget_respected ]);
+         Alcotest.test_case "budget" `Quick test_shrink_budget_respected;
+         q shrink_minimal_prop ]);
       ("oracle",
        [ Alcotest.test_case "ms explores clean" `Quick test_ms_explores_clean;
          Alcotest.test_case "same seed same run" `Quick test_same_seed_same_run;

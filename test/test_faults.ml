@@ -338,9 +338,16 @@ let test_load_rejects_garbage () =
       let oc = open_out file in
       output_string oc "# comment\ncrash 3\nwobble 4 5\n";
       close_out oc;
-      match Fault.load file with
-      | _ -> Alcotest.fail "expected Failure on a malformed line"
-      | exception Failure _ -> ())
+      (match Fault.load file with
+       | _ -> Alcotest.fail "expected Failure on a malformed line"
+       | exception Failure _ -> ());
+      (* a directory opens but cannot be read: still a Failure naming it *)
+      let dir = Filename.dirname file in
+      match Fault.load dir with
+      | _ -> Alcotest.fail "expected Failure on a directory"
+      | exception Failure msg ->
+          check_bool "the message names the path" true
+            (String.starts_with ~prefix:(dir ^ ": ") msg))
 
 (* An empty (or comment-only) plan is a legal file, but replaying it
    would silently run unperturbed — load_replay must refuse it and pass
